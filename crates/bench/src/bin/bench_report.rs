@@ -5,9 +5,9 @@
 //! fan-out at one and four worker threads — and writes every sample to
 //! `BENCH_results.json` (name, mean wall-time in ns, iteration count,
 //! configured thread count). The `t4` rows use the default
-//! [`ParallelConfig`], which clamps to the machine and falls back to the
-//! serial path below the work-size cutoff; the `t4_forced` rows disable
-//! both guards so genuine thread-spawn overhead stays measured.
+//! [`ParallelConfig`], which clamps the worker count to the machine; the
+//! `t4_forced` rows disable the clamp so genuine thread-spawn overhead
+//! stays measured.
 //!
 //! ```text
 //! cargo run --release -p metadse-bench --bin bench_report
@@ -27,8 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The thread counts every fan-out family is benchmarked at: serial,
-/// default four-thread config, and four threads with the serial-cutoff
-/// and hardware-clamp guards disabled.
+/// default four-thread config, and four threads with the hardware clamp
+/// disabled.
 const THREAD_VARIANTS: [(&str, usize, bool); 3] =
     [("t1", 1, false), ("t4", 4, false), ("t4_forced", 4, true)];
 
@@ -36,7 +36,7 @@ const THREAD_VARIANTS: [(&str, usize, bool); 3] =
 fn variant_config(threads: usize, forced: bool) -> ParallelConfig {
     let config = ParallelConfig::with_threads(threads);
     if forced {
-        config.with_serial_cutoff(1).oversubscribed()
+        config.oversubscribed()
     } else {
         config
     }
@@ -341,10 +341,6 @@ fn main() {
     report::kv(
         "hardware threads",
         metadse_parallel::available_parallelism(),
-    );
-    report::kv(
-        "default serial cutoff",
-        metadse_parallel::DEFAULT_SERIAL_CUTOFF,
     );
 
     let mut h = Harness::new().with_target_ms(300);

@@ -83,9 +83,7 @@ fn run_reference(threads: usize, checkpoint: Option<CheckpointConfig>) -> RunRes
         5,
     );
     let config = MamlConfig {
-        parallel: ParallelConfig::with_threads(threads)
-            .with_serial_cutoff(1)
-            .oversubscribed(),
+        parallel: ParallelConfig::with_threads(threads).oversubscribed(),
         checkpoint,
         ..MamlConfig::tiny()
     };

@@ -166,10 +166,6 @@ fn main() {
         "hardware threads",
         metadse_parallel::available_parallelism(),
     );
-    report::kv(
-        "default serial cutoff",
-        metadse_parallel::DEFAULT_SERIAL_CUTOFF,
-    );
 
     // --- Traced pipeline -------------------------------------------------
     let scale = tiny_scale();
@@ -199,12 +195,7 @@ fn main() {
     let rebuilds_before = obs::counter_value("maml/worker_rebuilds");
     let (d_t1, s_t1) = fanout_walls(&tasks, &ParallelConfig::serial());
     let (d_t4, s_t4) = fanout_walls(&tasks, &ParallelConfig::with_threads(4));
-    let (d_t4f, s_t4f) = fanout_walls(
-        &tasks,
-        &ParallelConfig::with_threads(4)
-            .with_serial_cutoff(1)
-            .oversubscribed(),
-    );
+    let (d_t4f, s_t4f) = fanout_walls(&tasks, &ParallelConfig::with_threads(4).oversubscribed());
     let rebuilds = obs::counter_value("maml/worker_rebuilds") - rebuilds_before;
 
     report::table(&[
@@ -234,10 +225,9 @@ fn main() {
          pure overhead when no cores are free — and from each spawned worker \
          rebuilding a thread-local predictor from the parameter snapshot \
          ({rebuilds} rebuilds in the forced runs above). The default config \
-         now clamps workers to the machine and runs fan-outs below {} items \
-         inline, so the default t4 column tracks t1.",
+         clamps workers to the machine, and the caller works as worker 0, so \
+         the default t4 column uses at most one worker per hardware thread.",
         metadse_parallel::available_parallelism(),
-        metadse_parallel::DEFAULT_SERIAL_CUTOFF,
     ));
 
     // --- Allocation-free hot path ----------------------------------------

@@ -183,11 +183,17 @@ pub fn inner_adapt(
 ///
 /// With one effective thread this runs inline on `model` itself — the
 /// exact serial path, with no snapshotting and no spawned threads.
-/// Otherwise each scoped worker rebuilds a thread-local predictor from a
-/// plain-buffer snapshot of `model`'s parameters (the `Rc`-based autograd
-/// graph never crosses threads), so `f` must be a pure function of the
-/// model values and the index; index-ordered results make any subsequent
-/// reduction bit-identical to the serial run.
+/// Otherwise each worker — the calling thread is worker 0 — rebuilds a
+/// thread-local predictor from a plain-buffer snapshot of `model`'s
+/// parameters (the `Rc`-based autograd graph never crosses threads), so
+/// `f` must be a pure function of the model values and the index;
+/// index-ordered results make any subsequent reduction bit-identical to
+/// the serial run.
+///
+/// Before fanning out, the calling thread's pooled buffers are freed
+/// outright: its own task then reuses that memory from its allocator,
+/// rather than leaving it idle in the pool while the other workers' tasks
+/// grow memory of their own.
 pub(crate) fn fan_out_tasks<T, F>(
     model: &TransformerPredictor,
     parallel: &ParallelConfig,
@@ -203,6 +209,7 @@ where
     }
     let snapshot = model.snapshot_values();
     let geometry = *model.config();
+    metadse_nn::tensor::pool::release();
     parallel.run_indexed(n, |i| {
         // Each index pays a full predictor rebuild from the snapshot — the
         // dominant fan-out overhead on small task counts (see the

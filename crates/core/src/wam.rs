@@ -487,11 +487,9 @@ mod tests {
             &tasks,
             Some(&mask),
             &cfg,
-            // Cutoff 1 + oversubscribe: really fan these 4 tasks across
-            // workers even on a single-core host.
-            &ParallelConfig::with_threads(3)
-                .with_serial_cutoff(1)
-                .oversubscribed(),
+            // Oversubscribe: really fan these 4 tasks across workers even
+            // on a single-core host.
+            &ParallelConfig::with_threads(3).oversubscribed(),
         );
         assert_eq!(serial, swept);
     }

@@ -70,11 +70,9 @@ fn run_reference(threads: usize, checkpoint: Option<CheckpointConfig>) -> RunRes
     let val = vec![synthetic_dataset(70, dim, 80, 0.2)];
     let model = tiny_model(dim);
     let config = MamlConfig {
-        // Cutoff 1 + oversubscribe: force real workers even on a
-        // single-core CI host, exactly as the determinism tests do.
-        parallel: ParallelConfig::with_threads(threads)
-            .with_serial_cutoff(1)
-            .oversubscribed(),
+        // Oversubscribe: force real workers even on a single-core CI
+        // host, exactly as the determinism tests do.
+        parallel: ParallelConfig::with_threads(threads).oversubscribed(),
         checkpoint,
         ..MamlConfig::tiny()
     };

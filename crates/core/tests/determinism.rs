@@ -60,11 +60,9 @@ fn pretrain_is_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         let model = tiny_model(dim);
         let config = MamlConfig {
-            // Cutoff 1 + oversubscribe: the meta-batch is only 2 tasks
-            // and the CI host may be single-core — force real workers.
-            parallel: ParallelConfig::with_threads(threads)
-                .with_serial_cutoff(1)
-                .oversubscribed(),
+            // Oversubscribe: the CI host may be single-core — force real
+            // workers for the 2-task meta-batch.
+            parallel: ParallelConfig::with_threads(threads).oversubscribed(),
             ..MamlConfig::tiny()
         };
         let report = pretrain(&model, &train, &val, Metric::Ipc, &config);

@@ -182,13 +182,10 @@ mod tests {
     fn forest_is_bit_identical_across_thread_counts() {
         let (x, y) = noisy_quadratic(120, 11);
         let fit_with = |threads: usize| {
-            // Cutoff 1 + oversubscribe: really spawn workers for these 12
-            // trees even on a single-core host.
-            let mut rf = RandomForest::new(12, 6, 2, 5).with_parallel(
-                ParallelConfig::with_threads(threads)
-                    .with_serial_cutoff(1)
-                    .oversubscribed(),
-            );
+            // Oversubscribe: really spawn workers for these 12 trees even
+            // on a single-core host.
+            let mut rf = RandomForest::new(12, 6, 2, 5)
+                .with_parallel(ParallelConfig::with_threads(threads).oversubscribed());
             rf.fit(&x, &y);
             rf
         };

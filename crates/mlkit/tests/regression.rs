@@ -15,13 +15,9 @@ use metadse_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Forces `n` real workers even for small fan-outs on small machines.
+/// Forces `n` real workers even on small machines.
 fn forced_threads(n: usize) -> ParallelConfig {
-    ParallelConfig {
-        threads: Some(n),
-        serial_cutoff: Some(1),
-        oversubscribe: true,
-    }
+    ParallelConfig::with_threads(n).oversubscribed()
 }
 
 /// One split of the fixed dataset: feature rows and labels.

@@ -85,6 +85,7 @@ pub fn grad(output: &Tensor, inputs: &[Tensor], create_graph: bool) -> Vec<Tenso
     // default scratch.
     let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     topological_order_into(output, &mut scratch);
+    scratch.inputs.extend(inputs.iter().map(Tensor::id));
     scratch
         .grads
         .insert(output.id(), Tensor::ones(output.shape()));
@@ -92,7 +93,18 @@ pub fn grad(output: &Tensor, inputs: &[Tensor], create_graph: bool) -> Vec<Tenso
     {
         let _guard = GradModeGuard::set(create_graph);
         for t in scratch.order.iter().rev() {
-            let Some(g) = scratch.grads.get(&t.id()).cloned() else {
+            // Reverse topological order: every consumer of `t` has already
+            // run, so its gradient is final. Only a requested input's
+            // gradient outlives this step (it is returned); any other is
+            // dropped once passed to the parents, so peak memory holds the
+            // gradient frontier rather than every gradient of the pass.
+            let id = t.id();
+            let g = if scratch.inputs.contains(&id) {
+                scratch.grads.get(&id).cloned()
+            } else {
+                scratch.grads.remove(&id)
+            };
+            let Some(g) = g else {
                 continue;
             };
             let Some(node) = t.node() else {
@@ -153,6 +165,7 @@ pub fn grad(output: &Tensor, inputs: &[Tensor], create_graph: bool) -> Vec<Tenso
     // subtrees) drop now, not at the start of the next backward pass.
     scratch.order.clear();
     scratch.visited.clear();
+    scratch.inputs.clear();
     scratch.grads.clear();
     SCRATCH.with(|s| *s.borrow_mut() = scratch);
     result
@@ -170,6 +183,8 @@ struct Scratch {
     order: Vec<Tensor>,
     visited: IdHashSet<u64>,
     stack: Vec<Visit>,
+    /// Ids of the requested inputs, whose gradients stay in `grads`.
+    inputs: IdHashSet<u64>,
     grads: IdHashMap<u64, Tensor>,
 }
 

@@ -117,27 +117,34 @@ impl MultiHeadAttention {
             // [b, s, d] -> [b, s, h, dk] -> [b, h, s, dk]
             t.reshape(&[batch, seq, self.heads, dk]).transpose(1, 2)
         };
-        let q = split(self.wq.forward(x));
-        let k = split(self.wk.forward(x));
-        let v = split(self.wv.forward(x));
-
-        let scale = 1.0 / (dk as Elem).sqrt();
-        let mut logits = q.matmul_nt(&k).mul_scalar(scale);
-        if let Some(mask) = self.mask.borrow().as_ref() {
-            let m = mask.get();
-            assert_eq!(
-                m.shape(),
-                &[seq, seq],
-                "attention mask shape must be [{seq}, {seq}]"
-            );
-            // [s, s] broadcasts over [b, h, s, s].
-            logits = logits.add(&m);
-        }
-        let probs = logits.softmax_fused(3);
+        // Each intermediate is dropped as soon as its consumer has run (q
+        // and k with the logits, the logits with the probabilities, v and
+        // the probabilities with the context), and v is computed only
+        // where it is consumed. Without a graph (inference) that frees the
+        // buffers at once and caps the block's live set; with one, its
+        // nodes keep them alive anyway.
+        let probs = {
+            let scale = 1.0 / (dk as Elem).sqrt();
+            let mut logits = split(self.wq.forward(x))
+                .matmul_nt(&split(self.wk.forward(x)))
+                .mul_scalar(scale);
+            if let Some(mask) = self.mask.borrow().as_ref() {
+                let m = mask.get();
+                assert_eq!(
+                    m.shape(),
+                    &[seq, seq],
+                    "attention mask shape must be [{seq}, {seq}]"
+                );
+                // [s, s] broadcasts over [b, h, s, s].
+                logits = logits.add(&m);
+            }
+            logits.softmax_fused(3)
+        };
         if self.record_attention.get() {
             *self.last_attention.borrow_mut() = Some(probs.detach());
         }
-        let ctx = probs.matmul(&v); // [b, h, s, dk]
+        let ctx = probs.matmul(&split(self.wv.forward(x))); // [b, h, s, dk]
+        drop(probs);
         let merged = ctx.transpose(1, 2).reshape(&[batch, seq, self.d_model]);
         self.wo.forward(&merged)
     }

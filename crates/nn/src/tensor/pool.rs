@@ -23,7 +23,9 @@
 //!
 //! Lifetime policy: between meta-iterations the training loop calls
 //! [`reclaim`], which trims each bucket to a small retained set and flushes
-//! the hit/miss counters to `metadse-obs` (`nn/pool_hits` / `nn/pool_misses`).
+//! the hit/miss counters to `metadse-obs` (`nn/pool_hits` / `nn/pool_misses`),
+//! and a task fan-out calls [`release`] on the calling thread, which frees
+//! every pooled buffer before that thread starts its own task.
 //! Set `METADSE_POOL=0` to disable recycling entirely, or use
 //! [`PoolModeGuard`] to toggle it from tests.
 
@@ -253,6 +255,15 @@ impl Pool {
             misses: 0,
         }
     }
+
+    /// Keeps at most `keep` free buffers per bucket and frees the rest,
+    /// bucket storage included.
+    fn trim(&mut self, keep: usize) {
+        for bucket in &mut self.buckets {
+            bucket.truncate(keep);
+            bucket.shrink_to(keep);
+        }
+    }
 }
 
 thread_local! {
@@ -340,10 +351,7 @@ pub fn recycle(buf: Buf) {
 pub fn reclaim() {
     let _ = POOL.try_with(|cell| {
         let mut pool = cell.borrow_mut();
-        for bucket in &mut pool.buckets {
-            bucket.truncate(RETAIN_AFTER_RECLAIM);
-            bucket.shrink_to(RETAIN_AFTER_RECLAIM);
-        }
+        pool.trim(RETAIN_AFTER_RECLAIM);
         if pool.hits > 0 {
             obs::counter("nn/pool_hits", pool.hits);
             pool.hits = 0;
@@ -353,6 +361,17 @@ pub fn reclaim() {
             pool.misses = 0;
         }
     });
+}
+
+/// Frees every buffer the pool holds on the current thread.
+///
+/// A task fan-out calls this on the calling thread before it starts
+/// working as worker 0: the freed blocks go back to this thread's
+/// allocator and the caller's own task reuses them, instead of leaving
+/// them stranded in the pool while the spawned worker's task grows memory
+/// of its own. Values are unaffected; later takes simply miss.
+pub fn release() {
+    let _ = POOL.try_with(|cell| cell.borrow_mut().trim(0));
 }
 
 /// RAII toggle for the pool on the current thread; restores the previous

@@ -26,7 +26,7 @@
 //! ## Naming scheme
 //!
 //! Metric and span names follow `component/event` (e.g.
-//! `nn/matmul_flops`, `maml/pretrain`, `parallel/serial_cutoff`), so the
+//! `nn/matmul_flops`, `maml/pretrain`, `parallel/fanouts_parallel`), so the
 //! summary and the JSONL export group naturally by subsystem.
 //!
 //! ## Example

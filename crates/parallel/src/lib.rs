@@ -24,38 +24,40 @@
 //! also provides [`WorkerPool`]: long-lived named threads with the same
 //! observability worker tagging as fan-out workers.
 //!
-//! # Work-size threshold and oversubscription
+//! # Worker count and oversubscription
 //!
-//! Spawning scoped workers costs tens of microseconds; a fan-out of a
-//! handful of tasks (or any fan-out on a machine with fewer cores than
-//! requested workers) loses more to scheduling than it gains. Two guards
-//! keep the parallel path honest — both only change *where* work runs, never
-//! its results, which stay bit-identical by construction:
+//! Any fan-out of two or more tasks runs in parallel on
+//! `min(tasks, threads, hardware threads)` workers
+//! ([`ParallelConfig::workers_for`]); a single task always runs inline.
+//! Worker 0 is the calling thread itself, so a fan-out spawns one thread
+//! fewer than it uses. A 2-thread scoped fan-out costs tens of
+//! microseconds, against tens to hundreds of milliseconds per task on the
+//! pipeline's fan-outs (MAML meta-batch members, WAM task adaptations), so
+//! no work-size threshold is applied here; a caller whose per-item cost is
+//! tiny (GBRT stage predictions) gates its own fan-out.
 //!
-//! * fan-outs with fewer than [`ParallelConfig::serial_cutoff`] tasks
-//!   (default [`DEFAULT_SERIAL_CUTOFF`], overridable per-config or via
-//!   `METADSE_SERIAL_CUTOFF`) take the inline serial path;
-//! * the worker count is clamped to the machine's available parallelism
-//!   unless [`ParallelConfig::oversubscribe`] is set (measurement and
-//!   determinism tests set it to force real thread interleaving even on a
-//!   single-core host).
+//! The worker count is clamped to the machine's available parallelism
+//! unless [`ParallelConfig::oversubscribe`] is set (measurement and
+//! determinism tests set it to force real thread interleaving even on a
+//! single-core host). The clamp only changes *where* work runs, never its
+//! results, which stay bit-identical by construction.
+//!
+//! Thread-local modes (the tensor backend, fused-kernel and buffer-pool
+//! guards of `metadse-nn`) do not follow work onto spawned workers; a
+//! caller that sets one around a fan-out must pin
+//! [`ParallelConfig::serial`].
 //!
 //! When the `obs` feature of the workspace is enabled, every fan-out
 //! records its decision (`parallel/fanouts_serial`,
-//! `parallel/fanouts_parallel`, `parallel/spawned_workers` counters and the
-//! `parallel/serial_cutoff` gauge), workers tag their spans with a worker
-//! id, and spans opened inside workers nest under the caller's span.
+//! `parallel/fanouts_parallel` and `parallel/spawned_workers` counters),
+//! workers tag their spans with a worker id, and spans opened inside
+//! workers nest under the caller's span.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 use metadse_obs as obs;
-
-/// Fan-outs smaller than this run serially unless a config or the
-/// `METADSE_SERIAL_CUTOFF` environment variable overrides it. Sixteen
-/// covers the pipeline's small sweeps (e.g. 8-task WAM adaptation), whose
-/// spawn overhead exceeded the win even on multi-core hosts.
-pub const DEFAULT_SERIAL_CUTOFF: usize = 16;
 
 /// Thread-count knob plumbed through the pipeline's configuration structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,10 +65,6 @@ pub struct ParallelConfig {
     /// Worker threads. `Some(1)` forces the exact serial code path;
     /// `None` defers to `METADSE_THREADS`, then to the machine.
     pub threads: Option<usize>,
-    /// Minimum fan-out size that uses threads; smaller fan-outs run the
-    /// serial path. `None` defers to `METADSE_SERIAL_CUTOFF`, then to
-    /// [`DEFAULT_SERIAL_CUTOFF`].
-    pub serial_cutoff: Option<usize>,
     /// Allow more workers than the machine has hardware threads.
     /// Off by default (oversubscribing CPU-bound pure work only adds
     /// scheduling overhead); determinism tests and overhead measurements
@@ -86,12 +84,6 @@ impl ParallelConfig {
     /// A configuration pinned to one thread (exact serial execution).
     pub fn serial() -> ParallelConfig {
         ParallelConfig::with_threads(1)
-    }
-
-    /// This configuration with the work-size threshold set to `n` tasks.
-    pub fn with_serial_cutoff(mut self, n: usize) -> ParallelConfig {
-        self.serial_cutoff = Some(n);
-        self
     }
 
     /// This configuration with the hardware-parallelism clamp disabled,
@@ -117,86 +109,82 @@ impl ParallelConfig {
         available_parallelism()
     }
 
-    /// The resolved work-size threshold: explicit setting, else
-    /// `METADSE_SERIAL_CUTOFF`, else [`DEFAULT_SERIAL_CUTOFF`].
-    pub fn effective_serial_cutoff(&self) -> usize {
-        if let Some(n) = self.serial_cutoff {
-            return n;
-        }
-        if let Ok(v) = std::env::var("METADSE_SERIAL_CUTOFF") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n;
-            }
-        }
-        DEFAULT_SERIAL_CUTOFF
-    }
-
     /// The number of workers a fan-out of `n` tasks will actually use:
-    /// 1 (the serial path) when `n` is below the work-size threshold,
-    /// otherwise the thread count clamped to `n` and — unless
+    /// 1 (the serial path) when `n ≤ 1`, otherwise the thread count
+    /// clamped to `n` and — unless
     /// [`oversubscribed`](ParallelConfig::oversubscribed) — to the
     /// machine's available parallelism.
     pub fn workers_for(&self, n: usize) -> usize {
-        if n <= 1 || n < self.effective_serial_cutoff() {
+        if n <= 1 {
             return 1;
         }
-        let mut workers = self.effective_threads();
-        if !self.oversubscribe {
-            workers = workers.min(available_parallelism());
+        let workers = self.effective_threads().min(n);
+        if self.oversubscribe {
+            workers
+        } else {
+            workers.min(available_parallelism())
         }
-        workers.min(n)
     }
 
     /// Evaluates `f(0..n)` and returns the results **in index order**.
     ///
     /// With one effective worker (see [`ParallelConfig::workers_for`])
     /// this runs `f` inline on the caller's thread, serially, in index
-    /// order — no threads are spawned. Otherwise workers pull indices from
-    /// a shared counter, so `f` must be a pure function of its index for
-    /// results to be deterministic; index ordering of the output makes any
-    /// subsequent reduction independent of scheduling.
+    /// order — no threads are spawned. Otherwise the calling thread works
+    /// as worker 0 beside `workers − 1` spawned threads, all pulling
+    /// indices from a shared counter, so `f` must be a pure function of
+    /// its index for results to be deterministic; index ordering of the
+    /// output makes any subsequent reduction independent of scheduling.
     pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        obs::gauge(
-            "parallel/serial_cutoff",
-            self.effective_serial_cutoff() as f64,
-        );
         let threads = self.workers_for(n);
         if threads <= 1 {
             obs::counter("parallel/fanouts_serial", 1);
             return (0..n).map(f).collect();
         }
         obs::counter("parallel/fanouts_parallel", 1);
-        obs::counter("parallel/spawned_workers", threads as u64);
+        obs::counter("parallel/spawned_workers", (threads - 1) as u64);
         let parent_span = obs::current_span();
 
         let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut local = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                local.push((i, f(i)));
+            }
+            local
+        };
         let per_worker: Vec<Vec<(usize, T)>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
+            let handles: Vec<_> = (1..threads)
                 .map(|w| {
-                    let next = &next;
-                    let f = &f;
+                    let drain = &drain;
                     scope.spawn(move || {
                         obs::set_worker(Some(w));
                         obs::adopt_span(parent_span);
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(i)));
-                        }
-                        local
+                        drain()
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel worker panicked"))
+            // Worker 0 is the caller: its spans already nest under
+            // `parent_span`, and its task reuses this thread's warm
+            // allocator state instead of growing a fresh arena.
+            let caller_tag = obs::worker_id();
+            obs::set_worker(Some(0));
+            let own = drain();
+            obs::set_worker(caller_tag);
+            std::iter::once(own)
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("parallel worker panicked")),
+                )
                 .collect()
         });
 
@@ -223,9 +211,12 @@ impl ParallelConfig {
     }
 }
 
-/// The machine's available hardware parallelism (at least 1).
+/// The machine's available hardware parallelism (at least 1), resolved
+/// once per process: the std query reads the affinity mask and cgroup
+/// quota files on every call, and every fan-out consults it.
 pub fn available_parallelism() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A set of long-lived named worker threads.
@@ -300,12 +291,10 @@ impl WorkerPool {
 mod tests {
     use super::*;
 
-    /// A config that genuinely spawns `n` workers on any host: cutoff 1,
-    /// hardware clamp off — what the determinism tests use.
+    /// A config that genuinely uses `n` workers on any host (hardware
+    /// clamp off) — what the determinism tests use.
     fn forced(n: usize) -> ParallelConfig {
-        ParallelConfig::with_threads(n)
-            .with_serial_cutoff(1)
-            .oversubscribed()
+        ParallelConfig::with_threads(n).oversubscribed()
     }
 
     #[test]
@@ -349,23 +338,75 @@ mod tests {
     }
 
     #[test]
-    fn small_fanouts_take_the_serial_path() {
+    fn fanouts_of_two_or_more_tasks_use_threads() {
         let cfg = ParallelConfig::with_threads(8).oversubscribed();
-        // Below the default cutoff: serial regardless of thread count.
-        assert_eq!(cfg.workers_for(DEFAULT_SERIAL_CUTOFF - 1), 1);
-        // At the cutoff: parallel.
-        assert_eq!(cfg.workers_for(DEFAULT_SERIAL_CUTOFF), 8);
-        // Explicit cutoff wins (workers also clamp to the task count).
-        assert_eq!(cfg.with_serial_cutoff(4).workers_for(5), 5);
-        assert_eq!(cfg.with_serial_cutoff(4).workers_for(3), 1);
+        // Any fan-out of two or more tasks is parallel, clamped to the
+        // task count and then to the thread count.
+        assert_eq!(cfg.workers_for(2), 2);
+        assert_eq!(cfg.workers_for(5), 5);
+        assert_eq!(cfg.workers_for(8), 8);
+        assert_eq!(cfg.workers_for(1000), 8);
+        // A pinned single thread stays serial at any size.
+        assert_eq!(ParallelConfig::serial().workers_for(1000), 1);
+    }
+
+    #[test]
+    fn single_task_fanouts_run_inline() {
+        for cfg in [
+            ParallelConfig::default(),
+            forced(4),
+            ParallelConfig::with_threads(4),
+        ] {
+            assert_eq!(cfg.workers_for(0), 1);
+            assert_eq!(cfg.workers_for(1), 1);
+        }
     }
 
     #[test]
     fn hardware_clamp_applies_unless_oversubscribed() {
         let machine = available_parallelism();
-        let clamped = ParallelConfig::with_threads(machine + 7).with_serial_cutoff(1);
+        let clamped = ParallelConfig::with_threads(machine + 7);
         assert_eq!(clamped.workers_for(1000), machine);
         assert_eq!(clamped.oversubscribed().workers_for(1000), machine + 7);
+        // The default config resolves to the machine (or METADSE_THREADS)
+        // and never exceeds the task count.
+        let default = ParallelConfig::default().workers_for(2);
+        assert!((1..=2).contains(&default));
+        assert!(default <= machine);
+    }
+
+    #[test]
+    fn available_parallelism_matches_the_std_query() {
+        let std_value = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(available_parallelism(), std_value);
+        assert_eq!(available_parallelism(), available_parallelism());
+    }
+
+    #[test]
+    fn the_calling_thread_works_as_worker_zero() {
+        use std::time::{Duration, Instant};
+        let caller = thread::current().id();
+        let threads = 4;
+        let started = AtomicUsize::new(0);
+        // Every task waits until `threads` tasks have started, so each
+        // worker holds exactly one index at a time: the caller can only
+        // be absent from the results if it is not one of the workers.
+        let ran_on = forced(threads).run_indexed(threads, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < threads && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            thread::current().id()
+        });
+        assert!(
+            ran_on.contains(&caller),
+            "no index ran on the calling thread"
+        );
+        let mut distinct = ran_on.clone();
+        distinct.sort_by_key(|id| format!("{id:?}"));
+        distinct.dedup();
+        assert_eq!(distinct.len(), threads, "each worker held one index");
     }
 
     #[test]
@@ -392,15 +433,5 @@ mod tests {
         assert_eq!(pool.len(), 1);
         assert!(!pool.is_empty());
         pool.join();
-    }
-
-    #[test]
-    fn serial_cutoff_never_splits_tiny_fanouts() {
-        // n <= 1 is always serial, even with cutoff 0.
-        let cfg = ParallelConfig::with_threads(4)
-            .with_serial_cutoff(0)
-            .oversubscribed();
-        assert_eq!(cfg.workers_for(1), 1);
-        assert_eq!(cfg.workers_for(0), 1);
     }
 }

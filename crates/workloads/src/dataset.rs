@@ -344,11 +344,9 @@ mod tests {
                 SpecWorkload::Xz657,
                 16,
                 &mut rng,
-                // Cutoff 1 + oversubscribe: really spawn workers for these
-                // 16 points even on a single-core host.
-                &ParallelConfig::with_threads(threads)
-                    .with_serial_cutoff(1)
-                    .oversubscribed(),
+                // Oversubscribe: really spawn workers for these 16 points
+                // even on a single-core host.
+                &ParallelConfig::with_threads(threads).oversubscribed(),
             )
         };
         let serial = run(1);
