@@ -4,7 +4,7 @@ use metadse_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::tree::RegressionTree;
+use crate::tree::{RankedColumns, RegressionTree, Scratch};
 use crate::Regressor;
 
 /// SplitMix64 finalizer used to derive independent per-tree seeds: each
@@ -86,22 +86,21 @@ impl Regressor for RandomForest {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         let d = x[0].len();
         let k = (d as f64).sqrt().round().max(1.0) as usize;
+        let columns = RankedColumns::new(x);
         // Each tree's bootstrap and feature subsets come from an RNG
         // derived from (seed, tree index), so tree `t` is the same no
         // matter which worker fits it.
         self.trees = self.parallel.run_indexed(self.n_trees, |t| {
             let mut rng = StdRng::seed_from_u64(derive_seed(self.seed, t as u64));
-            // Bootstrap resample.
-            let mut bx = Vec::with_capacity(x.len());
-            let mut by = Vec::with_capacity(y.len());
-            for _ in 0..x.len() {
-                let i = rng.gen_range(0..x.len());
-                bx.push(x[i].clone());
-                by.push(y[i]);
-            }
+            // Bootstrap resample: the tree reads the shared columns
+            // through this row map (`RankedColumns::new` bounds the row
+            // count to `u32`).
+            let map: Vec<u32> = (0..x.len())
+                .map(|_| rng.gen_range(0..x.len()) as u32)
+                .collect();
             let mut tree =
                 RegressionTree::new(self.max_depth, self.min_samples_leaf).with_max_features(k);
-            tree.fit_seeded(&bx, &by, &mut rng);
+            tree.fit_rows(&columns, &map, y, &mut rng, &mut Scratch::default(), None);
             tree
         });
     }
@@ -193,6 +192,39 @@ mod tests {
         for threads in [2, 4] {
             let parallel = fit_with(threads);
             assert_eq!(serial.trees, parallel.trees, "threads={threads} diverged");
+        }
+    }
+
+    #[test]
+    fn forest_matches_the_per_node_sort_oracle() {
+        use crate::tree::oracle;
+        use crate::tree::tests::{assert_matches_oracle, mixed_matrix};
+        let (x, y) = mixed_matrix(7, 400);
+        let (queries, _) = mixed_matrix(8, 60);
+        let (n_trees, max_depth, min_leaf, seed) = (6, 10, 2, 13);
+        let mut rf = RandomForest::new(n_trees, max_depth, min_leaf, seed);
+        rf.fit(&x, &y);
+        // The reference bootstrap clones the drawn rows.
+        let k = (x[0].len() as f64).sqrt().round() as usize;
+        let reference: Vec<oracle::RefNode> = (0..n_trees)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(derive_seed(seed, t as u64));
+                let (mut bx, mut by) = (Vec::new(), Vec::new());
+                for _ in 0..x.len() {
+                    let i = rng.gen_range(0..x.len());
+                    bx.push(x[i].clone());
+                    by.push(y[i]);
+                }
+                oracle::fit(&bx, &by, max_depth, min_leaf, Some(k), &mut rng)
+            })
+            .collect();
+        for (t, (tree, want)) in rf.trees.iter().zip(&reference).enumerate() {
+            assert_matches_oracle(tree, want, &format!("tree {t}"));
+        }
+        for q in x.iter().chain(&queries) {
+            let want =
+                reference.iter().map(|t| oracle::predict(t, q)).sum::<f64>() / n_trees as f64;
+            assert_eq!(rf.predict_one(q).to_bits(), want.to_bits(), "row {q:?}");
         }
     }
 

@@ -1,12 +1,7 @@
 //! Gradient-boosted regression trees (squared loss).
 
-use metadse_parallel::ParallelConfig;
-
-use crate::tree::RegressionTree;
+use crate::tree::{RankedColumns, RegressionTree, Scratch};
 use crate::Regressor;
-
-/// Below this many rows, per-sample fan-out costs more than it saves.
-const PARALLEL_PREDICT_MIN_ROWS: usize = 64;
 
 /// GBRT: stage-wise additive model where each shallow tree fits the current
 /// residuals, shrunk by a learning rate.
@@ -18,7 +13,6 @@ pub struct GradientBoosting {
     learning_rate: f64,
     max_depth: usize,
     min_samples_leaf: usize,
-    parallel: ParallelConfig,
     base_prediction: f64,
     trees: Vec<RegressionTree>,
 }
@@ -46,7 +40,6 @@ impl GradientBoosting {
             learning_rate,
             max_depth,
             min_samples_leaf,
-            parallel: ParallelConfig::default(),
             base_prediction: 0.0,
             trees: Vec::new(),
         }
@@ -55,16 +48,6 @@ impl GradientBoosting {
     /// The paper-style default: 200 stages of depth-3 trees at rate 0.08.
     pub fn default_for_dse() -> GradientBoosting {
         GradientBoosting::new(200, 0.08, 3, 2)
-    }
-
-    /// Sets the thread configuration used by [`Regressor::fit`].
-    ///
-    /// Boosting stages are inherently sequential (each tree fits the
-    /// previous stage's residuals), so parallelism applies to the
-    /// per-sample prediction sweep inside each stage.
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> GradientBoosting {
-        self.parallel = parallel;
-        self
     }
 
     /// Number of fitted stages.
@@ -83,27 +66,33 @@ impl Regressor for GradientBoosting {
         assert!(!x.is_empty(), "cannot fit on an empty dataset");
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         self.base_prediction = y.iter().sum::<f64>() / y.len() as f64;
+        // Every stage fits the same rows, so they are ranked once.
+        let columns = RankedColumns::new(x);
+        let rows = columns.all_rows();
         let mut current: Vec<f64> = vec![self.base_prediction; y.len()];
+        let mut residuals = vec![0.0; y.len()];
+        let mut fitted = vec![0.0; y.len()];
+        let mut scratch = Scratch::default();
+        // Full feature search draws nothing from the RNG.
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         self.trees = Vec::with_capacity(self.n_estimators);
-        let fan_out = x.len() >= PARALLEL_PREDICT_MIN_ROWS;
         for _ in 0..self.n_estimators {
-            let residuals: Vec<f64> = y.iter().zip(&current).map(|(t, c)| t - c).collect();
+            for ((r, t), c) in residuals.iter_mut().zip(y).zip(&current) {
+                *r = t - c;
+            }
             let mut tree = RegressionTree::new(self.max_depth, self.min_samples_leaf);
-            tree.fit(x, &residuals);
-            // Tree prediction is pure per sample; results come back in
-            // sample order, so the update is identical across thread
-            // counts.
-            if fan_out {
-                let preds = self
-                    .parallel
-                    .run_indexed(x.len(), |i| tree.predict_one(&x[i]));
-                for (c, p) in current.iter_mut().zip(&preds) {
-                    *c += self.learning_rate * p;
-                }
-            } else {
-                for (c, xi) in current.iter_mut().zip(x) {
-                    *c += self.learning_rate * tree.predict_one(xi);
-                }
+            tree.fit_rows(
+                &columns,
+                &rows,
+                &residuals,
+                &mut rng,
+                &mut scratch,
+                Some(&mut fitted),
+            );
+            // `fitted` holds each row's leaf value, which is what the
+            // tree predicts for that row.
+            for (c, p) in current.iter_mut().zip(&fitted) {
+                *c += self.learning_rate * p;
             }
             self.trees.push(tree);
         }
@@ -172,6 +161,24 @@ mod tests {
         a.fit(&x, &y);
         b.fit(&x, &y);
         assert_eq!(a.predict_one(&[0.37]), b.predict_one(&[0.37]));
+    }
+
+    #[test]
+    fn boosting_matches_the_per_node_sort_oracle() {
+        use crate::tree::oracle;
+        use crate::tree::tests::mixed_matrix;
+        let (x, y) = mixed_matrix(5, 400);
+        let (queries, _) = mixed_matrix(6, 60);
+        let rows: Vec<Vec<f64>> = x.iter().chain(&queries).cloned().collect();
+        for params in [(30, 0.1, 3, 2), (12, 0.3, 6, 1), (8, 0.5, 2, 5)] {
+            let (stages, rate, depth, min_leaf) = params;
+            let mut g = GradientBoosting::new(stages, rate, depth, min_leaf);
+            g.fit(&x, &y);
+            let want = oracle::boosting_predictions(&x, &y, params, &rows);
+            for (i, (got, want)) in g.predict(&rows).iter().zip(&want).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{params:?}: row {i}");
+            }
+        }
     }
 
     #[test]

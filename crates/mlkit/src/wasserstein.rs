@@ -36,25 +36,24 @@ pub fn wasserstein_1d(a: &[f64], b: &[f64]) -> f64 {
     }
 
     // General case: integrate |F⁻¹_a(q) − F⁻¹_b(q)| dq over the merged
-    // quantile breakpoints of the two step functions.
-    let na = xs.len() as f64;
-    let nb = ys.len() as f64;
-    let mut breaks: Vec<f64> = (1..xs.len()).map(|i| i as f64 / na).collect();
-    breaks.extend((1..ys.len()).map(|i| i as f64 / nb));
-    breaks.push(1.0);
-    breaks.sort_by(f64::total_cmp);
-    breaks.dedup();
-
+    // quantile breakpoints i/na and j/nb of the two step functions. On
+    // the grid of 1/(na·nb) steps those are the integers i·nb and j·na,
+    // so the merge and each segment's order statistics are exact.
+    let (na, nb) = (xs.len(), ys.len());
+    let grid = na
+        .checked_mul(nb)
+        .expect("sample sizes overflow the quantile grid");
+    let (mut i, mut j, mut prev) = (0, 0, 0);
     let mut distance = 0.0;
-    let mut prev = 0.0;
-    for &q in &breaks {
-        // Quantile value on (prev, q]: index by the left endpoint.
-        let qa = xs[((prev * na).floor() as usize).min(xs.len() - 1)];
-        let qb = ys[((prev * nb).floor() as usize).min(ys.len() - 1)];
-        distance += (qa - qb).abs() * (q - prev);
-        prev = q;
+    while prev < grid {
+        let (next_a, next_b) = ((i + 1) * nb, (j + 1) * na);
+        let next = next_a.min(next_b);
+        distance += (xs[i] - ys[j]).abs() * (next - prev) as f64;
+        i += usize::from(next_a == next);
+        j += usize::from(next_b == next);
+        prev = next;
     }
-    distance
+    distance / grid as f64
 }
 
 /// Symmetric distance matrix between several samples (Fig. 2's heatmap).
@@ -105,6 +104,51 @@ mod tests {
         // F⁻¹ differs only on q in (1/2, 1], where a gives 1, b gives 0.
         let d = wasserstein_1d(&[0.0, 1.0], &[0.0]);
         assert!((d - 0.5).abs() < 1e-12, "got {d}");
+    }
+
+    #[test]
+    fn unequal_sizes_read_every_order_statistic() {
+        // The merged break i/2000 of a 2000-sample a times 2000 rounds to
+        // just under i for 12 of its 1999 breaks (i = 1001 among them),
+        // so a float quantile index read statistic i − 1 there.
+        let a: Vec<f64> = (0..2000)
+            .map(|i| if i <= 1000 { 0.0 } else { 1000.0 })
+            .collect();
+        let b = [0.0; 3];
+        assert_eq!(wasserstein_1d(&a, &b), 499.5);
+    }
+
+    #[test]
+    fn unequal_sizes_match_their_equal_size_expansion() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Repeating every sample of a lcm/na times and of b lcm/nb times
+        // leaves both distributions unchanged and takes the equal-size path.
+        fn expand(v: &[f64], times: usize) -> Vec<f64> {
+            v.iter()
+                .flat_map(|&x| std::iter::repeat_n(x, times))
+                .collect()
+        }
+        fn gcd(a: usize, b: usize) -> usize {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x5d1);
+        for _ in 0..200 {
+            let na = rng.gen_range(1..400usize);
+            let nb = rng.gen_range(1..400usize);
+            let a: Vec<f64> = (0..na).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let b: Vec<f64> = (0..nb).map(|_| rng.gen_range(-1.0..4.0)).collect();
+            let lcm = na / gcd(na, nb) * nb;
+            let want = wasserstein_1d(&expand(&a, lcm / na), &expand(&b, lcm / nb));
+            let got = wasserstein_1d(&a, &b);
+            assert!(
+                (got - want).abs() <= 1e-9 * want.max(1.0),
+                "na {na}, nb {nb}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

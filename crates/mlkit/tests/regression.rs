@@ -1,19 +1,24 @@
 //! Regression tests for the tree-ensemble baselines: thread-count
-//! determinism and golden accuracy bounds.
+//! determinism, agreement with the reference tree fit, and golden
+//! accuracy bounds.
 //!
 //! The DSE baselines (random forest, gradient boosting) feed directly
-//! into the paper's comparison tables, so two properties must never
+//! into the paper's comparison tables, so three properties must never
 //! drift: fitting is a pure function of `(data, seed)` regardless of
-//! how many workers fit the trees, and accuracy on a fixed synthetic
-//! dataset stays within a committed bound. The dataset is generated
-//! from a fixed [`StdRng`] seed, so both checks are exactly
-//! reproducible.
+//! how many workers fit the trees, boosting predicts exactly what the
+//! per-node-sort reference CART (`src/tree/oracle.rs`) predicts, and
+//! accuracy on a fixed synthetic dataset stays within a committed bound.
+//! The dataset is generated from a fixed [`StdRng`] seed, so every check
+//! is exactly reproducible.
 
 use metadse_mlkit::metrics::rmse;
 use metadse_mlkit::{GradientBoosting, RandomForest, Regressor};
 use metadse_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../src/tree/oracle.rs"]
+mod oracle;
 
 /// Forces `n` real workers even on small machines.
 fn forced_threads(n: usize) -> ParallelConfig {
@@ -51,7 +56,7 @@ fn assert_bit_identical(tag: &str, a: &[f64], b: &[f64]) {
         assert_eq!(
             va.to_bits(),
             vb.to_bits(),
-            "{tag}: prediction {i} diverged across thread counts ({va} vs {vb})"
+            "{tag}: prediction {i} diverged ({va} vs {vb})"
         );
     }
 }
@@ -72,20 +77,12 @@ fn random_forest_fit_predict_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn gradient_boosting_fit_predict_is_deterministic_across_thread_counts() {
+fn gradient_boosting_fit_predict_matches_the_reference_oracle() {
     let ((train_x, train_y), (test_x, _)) = fixed_dataset();
-    let mut reference: Option<Vec<f64>> = None;
-    for threads in [1usize, 2, 4] {
-        let mut gb = GradientBoosting::new(60, 0.1, 3, 2).with_parallel(forced_threads(threads));
-        gb.fit(&train_x, &train_y);
-        let predictions = gb.predict(&test_x);
-        match &reference {
-            None => reference = Some(predictions),
-            Some(want) => {
-                assert_bit_identical(&format!("boosting t={threads}"), want, &predictions)
-            }
-        }
-    }
+    let mut gb = GradientBoosting::new(60, 0.1, 3, 2);
+    gb.fit(&train_x, &train_y);
+    let want = oracle::boosting_predictions(&train_x, &train_y, (60, 0.1, 3, 2), &test_x);
+    assert_bit_identical("boosting vs oracle", &want, &gb.predict(&test_x));
 }
 
 #[test]

@@ -34,7 +34,7 @@
 //! microseconds, against tens to hundreds of milliseconds per task on the
 //! pipeline's fan-outs (MAML meta-batch members, WAM task adaptations), so
 //! no work-size threshold is applied here; a caller whose per-item cost is
-//! tiny (GBRT stage predictions) gates its own fan-out.
+//! tiny keeps that work on its own thread.
 //!
 //! The worker count is clamped to the machine's available parallelism
 //! unless [`ParallelConfig::oversubscribe`] is set (measurement and
