@@ -17,6 +17,10 @@
 //!   disk; resume must fall back and still match;
 //! * **write errors** — a disk-full-style failure skips one checkpoint
 //!   with a warning and must leave the training numerics untouched;
+//! * **power loss** — the power goes a few saves in, undoing every rename
+//!   and directory creation no directory sync made durable; the newest
+//!   acknowledged generation must survive, and resuming from it must
+//!   still match;
 //! * **missing directory** — a nonexistent checkpoint directory is a
 //!   fresh start, created on first save.
 //!
@@ -28,12 +32,16 @@
 //! matrix for smoke use.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
-use metadse::checkpoint::{CheckpointConfig, Checkpointer, FaultMode, FaultSpec};
+use metadse::checkpoint::{
+    CheckpointConfig, Checkpointer, FaultIo, FaultMode, FaultSpec, TrainState,
+};
 use metadse::maml::{pretrain, MamlConfig, PretrainReport};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse_bench::report;
+use metadse_nn::format::fnv1a;
 use metadse_nn::layers::Module;
 use metadse_parallel::ParallelConfig;
 use metadse_workloads::{Dataset, Metric, Sample};
@@ -93,20 +101,14 @@ fn run_reference(threads: usize, checkpoint: Option<CheckpointConfig>) -> RunRes
 }
 
 fn run_digest(run: &RunResult) -> String {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(format!("{:?}", run.0).as_bytes());
-    for p in &run.1 {
-        for v in p {
-            eat(&v.to_bits().to_le_bytes());
-        }
-    }
-    format!("{hash:016x}")
+    let mut bytes = format!("{:?}", run.0).into_bytes();
+    bytes.extend(
+        run.1
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes()),
+    );
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 fn scenario_dir(name: &str) -> PathBuf {
@@ -123,117 +125,88 @@ fn ckpt(dir: &Path) -> CheckpointConfig {
     }
 }
 
-fn kill_and_resume(baseline: &RunResult, threads: usize, k: u64) -> Result<(), String> {
-    let dir = scenario_dir(&format!("kill-t{threads}-k{k}"));
-    let base = ckpt(&dir);
-    let _partial = run_reference(
-        threads,
-        Some(CheckpointConfig {
-            halt_after: Some(k),
-            ..base.clone()
-        }),
-    );
-    let resumed = run_reference(threads, Some(base));
+/// Runs the reference problem checkpointing into `dir` (through `fault`,
+/// if any) and kills it dead after meta-iteration `k`.
+fn halt(dir: &Path, threads: usize, k: u64, fault: Option<FaultSpec>) {
+    let config = CheckpointConfig {
+        halt_after: Some(k),
+        fault,
+        ..ckpt(dir)
+    };
+    let _partial = run_reference(threads, Some(config));
+}
+
+/// The newest readable checkpoint in `dir`, as a fresh process finds it.
+fn newest(dir: &Path) -> Option<(TrainState, u64)> {
+    Checkpointer::new(ckpt(dir)).load_latest()
+}
+
+/// Resumes from `dir`, which must reproduce the baseline bit for bit.
+fn resume(baseline: &RunResult, threads: usize, dir: &Path) -> Result<(), String> {
+    let resumed = run_reference(threads, Some(ckpt(dir)));
     if &resumed != baseline {
         return Err(format!(
-            "digest {} != baseline {}",
+            "resumed digest {} != baseline {}",
             run_digest(&resumed),
             run_digest(baseline)
         ));
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
     Ok(())
+}
+
+fn kill_and_resume(baseline: &RunResult, threads: usize, k: u64) -> Result<(), String> {
+    let dir = scenario_dir(&format!("kill-t{threads}-k{k}"));
+    halt(&dir, threads, k, None);
+    resume(baseline, threads, &dir)
 }
 
 fn crash_mid_write(baseline: &RunResult) -> Result<(), String> {
     let dir = scenario_dir("crash-mid-write");
-    let base = ckpt(&dir);
     // The process "dies" during a checkpoint write partway through the
-    // run: every IO operation from the 30th on fails (the first
-    // checkpoint, ~20 ops, lands; a later one is cut down mid-file),
-    // and the halt kills the run shortly after.
-    let _partial = run_reference(
-        1,
-        Some(CheckpointConfig {
-            halt_after: Some(7),
-            fault: Some(FaultSpec {
-                fail_at: 30,
-                mode: FaultMode::CrashMidWrite,
-            }),
-            ..base.clone()
-        }),
-    );
-    let resumed = run_reference(1, Some(base));
-    if &resumed != baseline {
-        return Err("resume after mid-write crash diverged from baseline".into());
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(())
+    // run: every IO operation from the 30th on fails, and the halt kills
+    // the run shortly after. A save is create, 7 chunk writes, fsync,
+    // rename and directory fsync (the first also syncs the new directory
+    // into `target/crashsafe`), so saves 1 and 2 land (ops 0–22) and op
+    // 30 cuts save 3 at its last chunk write.
+    let crash = FaultSpec {
+        fail_at: 30,
+        mode: FaultMode::CrashMidWrite,
+    };
+    halt(&dir, 1, 7, Some(crash));
+    resume(baseline, 1, &dir)
 }
 
 fn torn_write(baseline: &RunResult) -> Result<(), String> {
     let dir = scenario_dir("torn-write");
-    let base = ckpt(&dir);
-    let _partial = run_reference(
-        1,
-        Some(CheckpointConfig {
-            halt_after: Some(3),
-            ..base.clone()
-        }),
-    );
+    halt(&dir, 1, 3, None);
+    let (state, generation) = newest(&dir).ok_or("halted run left no checkpoint")?;
     // Re-write the intact latest state through a tearing IO shim so the
     // newest generation on disk is silently damaged.
-    let mut intact = Checkpointer::new(base.clone());
-    let (state, generation) = intact
-        .load_latest()
-        .map_err(|e| e.to_string())?
-        .ok_or("halted run left no checkpoint")?;
-    let mut torn = Checkpointer::with_io(
-        base.clone(),
-        std::sync::Arc::new(metadse::checkpoint::FaultIo::new(FaultSpec {
-            fail_at: 3,
-            mode: FaultMode::TornWrite,
-        })),
-    );
-    torn.save(&state).map_err(|e| e.to_string())?;
-    let (_, loaded) = intact
-        .load_latest()
-        .map_err(|e| e.to_string())?
-        .ok_or("all generations unreadable")?;
-    if loaded != generation {
+    let tear = FaultSpec {
+        fail_at: 3,
+        mode: FaultMode::TornWrite,
+    };
+    Checkpointer::with_io(ckpt(&dir), Arc::new(FaultIo::new(tear)))
+        .save(&state)
+        .map_err(|e| e.to_string())?;
+    let loaded = newest(&dir).map(|(_, g)| g);
+    if loaded != Some(generation) {
         return Err(format!(
-            "expected fallback to generation {generation}, got {loaded}"
+            "expected fallback to generation {generation}, got {loaded:?}"
         ));
     }
-    let resumed = run_reference(1, Some(base));
-    if &resumed != baseline {
-        return Err("resume after torn-write fallback diverged from baseline".into());
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(())
+    resume(baseline, 1, &dir)
 }
 
 fn corrupt_latest(baseline: &RunResult) -> Result<(), String> {
     let dir = scenario_dir("corrupt-latest");
-    let base = ckpt(&dir);
-    let _partial = run_reference(
-        1,
-        Some(CheckpointConfig {
-            halt_after: Some(7),
-            ..base.clone()
-        }),
-    );
-    let mut generations: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| e.to_string())?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    generations.sort();
+    halt(&dir, 1, 7, None);
+    let generations = Checkpointer::new(ckpt(&dir)).generations();
     if generations.len() < 2 {
         return Err("need at least two generations for a fallback".into());
     }
-    let latest = generations.last().unwrap();
+    let (_, latest) = generations.last().unwrap();
     let mut bytes = std::fs::read(latest).map_err(|e| e.to_string())?;
     let mid = bytes.len() / 2;
     let end = (mid + 16).min(bytes.len());
@@ -241,13 +214,7 @@ fn corrupt_latest(baseline: &RunResult) -> Result<(), String> {
         *b ^= 0xff;
     }
     std::fs::write(latest, &bytes).map_err(|e| e.to_string())?;
-
-    let resumed = run_reference(1, Some(base));
-    if &resumed != baseline {
-        return Err("resume after corrupt-latest fallback diverged from baseline".into());
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(())
+    resume(baseline, 1, &dir)
 }
 
 fn write_errors(baseline: &RunResult) -> Result<(), String> {
@@ -265,12 +232,32 @@ fn write_errors(baseline: &RunResult) -> Result<(), String> {
     if &faulty != baseline {
         return Err("a failed checkpoint write perturbed the numerics".into());
     }
-    let mut cp = Checkpointer::new(CheckpointConfig::new(&dir));
-    if cp.load_latest().map_err(|e| e.to_string())?.is_none() {
+    if newest(&dir).is_none() {
         return Err("no checkpoint landed after the write error".into());
     }
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
+}
+
+fn power_loss(baseline: &RunResult) -> Result<(), String> {
+    let dir = scenario_dir("power-loss");
+    halt(&dir, 1, 3, None);
+    let (state, _) = newest(&dir).ok_or("halted run left no checkpoint")?;
+    // Save the latest state again until the power goes at operation 30,
+    // a few saves in; every save that returned `Ok` was acknowledged.
+    let cut = FaultSpec {
+        fail_at: 30,
+        mode: FaultMode::PowerLoss,
+    };
+    let mut cp = Checkpointer::with_io(ckpt(&dir), Arc::new(FaultIo::new(cut)));
+    let acknowledged = std::iter::from_fn(|| cp.save(&state).ok()).last();
+    let survived = newest(&dir).map(|(_, generation)| generation);
+    if survived != acknowledged {
+        return Err(format!(
+            "acknowledged generation {acknowledged:?} lost; newest on disk is {survived:?}"
+        ));
+    }
+    resume(baseline, 1, &dir)
 }
 
 fn missing_directory(baseline: &RunResult) -> Result<(), String> {
@@ -316,7 +303,7 @@ fn main() {
             }
             // Atomic record (temp + rename): the file may be shared with
             // concurrently running test binaries.
-            _ => metadse_nn::format::atomic_write(&path, digest.as_bytes())
+            _ => metadse_obs::atomic_write(&metadse_obs::StdIo, &path, digest.as_bytes())
                 .unwrap_or_else(|e| panic!("could not record digest in {path}: {e}")),
         }
     }
@@ -343,6 +330,10 @@ fn main() {
     scenarios.push(("torn write fallback".into(), Box::new(torn_write)));
     scenarios.push(("corrupt latest generation".into(), Box::new(corrupt_latest)));
     scenarios.push(("write-error degradation".into(), Box::new(write_errors)));
+    scenarios.push((
+        "power loss after an acknowledged save".into(),
+        Box::new(power_loss),
+    ));
     scenarios.push(("missing directory".into(), Box::new(missing_directory)));
 
     let mut failures = 0usize;

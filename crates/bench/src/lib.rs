@@ -12,7 +12,6 @@
 //! Results are printed as aligned text tables and mirrored as CSV under
 //! `results/`.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -317,29 +316,21 @@ pub fn render_table(rows: &[Vec<String>]) -> String {
     report::render_table(rows)
 }
 
-/// Directory where result CSVs are written (`results/`, created on
-/// demand).
-pub fn results_dir() -> PathBuf {
-    let dir = Path::new("results").to_path_buf();
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-/// Writes rows as CSV under `results/<name>.csv`, atomically: a harness
-/// binary killed mid-write never leaves a truncated CSV for downstream
-/// tooling to trip over.
+/// Writes rows as CSV under `results/<name>.csv` (the directory is
+/// created on demand), atomically: a harness binary killed mid-write
+/// never leaves a truncated CSV for downstream tooling to trip over.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
 pub fn write_csv(name: &str, rows: &[Vec<String>]) -> io::Result<PathBuf> {
-    let path = results_dir().join(format!("{name}.csv"));
+    let path = Path::new("results").join(format!("{name}.csv"));
     let body: String = rows
         .iter()
         .map(|r| r.join(","))
         .collect::<Vec<_>>()
         .join("\n");
-    metadse_nn::format::atomic_write(&path, (body + "\n").as_bytes())?;
+    metadse_obs::atomic_write(&metadse_obs::StdIo, &path, (body + "\n").as_bytes())?;
     Ok(path)
 }
 
@@ -482,14 +473,15 @@ pub mod timing {
             out
         }
 
-        /// Writes [`Harness::to_json`] to `path` atomically (temp file →
-        /// fsync → rename), so a killed run never leaves partial JSON.
+        /// Writes [`Harness::to_json`] to `path` through
+        /// [`metadse_obs::atomic_write`], so a killed run never leaves
+        /// partial JSON.
         ///
         /// # Errors
         ///
         /// Returns any underlying I/O error.
         pub fn write_json(&self, path: &Path) -> io::Result<()> {
-            metadse_nn::format::atomic_write(path, self.to_json().as_bytes())
+            metadse_obs::atomic_write(&metadse_obs::StdIo, path, self.to_json().as_bytes())
         }
 
         /// Merge-writes this harness's samples into `path`: existing rows
@@ -536,7 +528,7 @@ pub mod timing {
                 out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
             }
             out.push_str("]\n");
-            metadse_nn::format::atomic_write(path, out.as_bytes())
+            metadse_obs::atomic_write(&metadse_obs::StdIo, path, out.as_bytes())
         }
     }
 
@@ -591,6 +583,7 @@ pub mod timing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     #[test]
     fn table_rendering_is_aligned() {

@@ -1,4 +1,5 @@
-//! Crash-safe checkpoint/resume for the meta-training pipeline.
+//! Crash-safe checkpoint/resume for the meta-training pipeline, over the
+//! workspace's one generation store.
 //!
 //! An interrupted [`crate::maml::pretrain`] run used to lose everything;
 //! this module captures the *complete* training state — model parameters,
@@ -12,7 +13,9 @@
 //!
 //! # On-disk layout
 //!
-//! A checkpoint directory holds numbered *generations*:
+//! A [`GenerationStore`] directory holds numbered *generations* — the
+//! layout training checkpoints, session checkpoints and the serving
+//! model registry (`gen-NNNNNNNN.model`) all share:
 //!
 //! ```text
 //! <dir>/gen-00000001.ckpt
@@ -20,44 +23,41 @@
 //! <dir>/.gen-00000003.ckpt.tmp-… ← in-flight write (ignored by loads)
 //! ```
 //!
-//! Each file is a sealed container ([`metadse_nn::format::seal`]:
-//! magic, version, payload length, FNV-1a checksum over header and
-//! payload), written atomically: temp file in the same directory →
-//! chunked writes → fsync → rename. A crash at any instant leaves either
-//! nothing, an ignorable temp file, or a complete generation. Loading
-//! walks generations newest-first and silently falls back past any
-//! corrupt (torn, truncated, bit-flipped) file; [`Checkpointer::save`]
-//! keeps the last [`CheckpointConfig::keep`] generations so a fallback
-//! target always exists.
+//! Each file is a sealed container ([`metadse_nn::format::seal`]) written
+//! by [`metadse_obs::atomic_write`], so a crash leaves nothing, an
+//! ignorable temp file, or a complete generation, and a save returns
+//! `Ok` only once its directory entry is durable: an acknowledged
+//! generation survives power loss. Loading falls back newest-first past
+//! corrupt (torn, truncated, bit-flipped) files; saves keep the last
+//! [`CheckpointConfig::keep`] generations so a fallback always exists.
 //!
 //! # Fault injection
 //!
 //! All file operations go through the [`CkptIo`] shim. The default
 //! [`StdIo`] passes straight through; [`FaultSpec`] (plain data, so it
 //! can ride inside a config) installs a [`FaultIo`] that fails, torn-
-//! writes, or dies at the Nth operation — the harness in
+//! writes, dies, or cuts the power at the Nth operation — the harness in
 //! `crates/bench/src/bin/crashsafe.rs` and the tests in
 //! `crates/core/tests/checkpoint.rs` drive every failure mode through
 //! the real write path.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use metadse_nn::format::{seal, unseal, ByteReader, ByteWriter};
 use metadse_nn::optim::AdamState;
 use metadse_nn::serialize::{adam_state_from_bytes, adam_state_to_bytes, CheckpointError};
 use metadse_obs as obs;
-use metadse_obs::report;
+use metadse_obs::{atomic_write, report};
+pub use metadse_obs::{CkptIo, StdIo};
 
 const MAGIC: &[u8; 8] = b"MDSECKPT";
 const VERSION: u32 = 1;
-/// Write granularity through the IO shim; small enough that even tiny
-/// test checkpoints span several operations, so faults can land mid-file.
-const CHUNK: usize = 4096;
 
 /// Where, how often, and how durably training state is checkpointed.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,10 +130,16 @@ pub enum FaultMode {
     /// The Nth and every later operation fail — the process "died"
     /// mid-write, leaving whatever partial temp file was on disk.
     CrashMidWrite,
+    /// The power goes at the Nth operation: it and every later operation
+    /// fail, as with `CrashMidWrite`, and on top of that every rename or
+    /// directory creation not yet followed by a sync of its containing
+    /// directory is undone. The oracle for "acknowledged ⇒ survives".
+    PowerLoss,
 }
 
 /// A fault to inject at the `fail_at`-th IO operation (0-based, counted
-/// across the owning [`Checkpointer`]'s whole life).
+/// across the [`FaultIo`]'s whole life — one per [`Checkpointer`] built
+/// from a config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Operation index at which the fault triggers.
@@ -142,53 +148,27 @@ pub struct FaultSpec {
     pub mode: FaultMode,
 }
 
-/// The file operations a [`Checkpointer`] performs, factored out so
-/// faults can be injected at operation granularity.
-pub trait CkptIo: Send + Sync {
-    /// Creates (truncating) a file.
-    fn create(&self, path: &Path) -> io::Result<File>;
-    /// Appends one chunk to an open file.
-    fn write_chunk(&self, file: &mut File, chunk: &[u8]) -> io::Result<()>;
-    /// Flushes file contents to stable storage.
-    fn sync(&self, file: &mut File) -> io::Result<()>;
-    /// Atomically renames `from` to `to`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Removes a file.
-    fn remove(&self, path: &Path) -> io::Result<()>;
-}
-
-/// Pass-through [`CkptIo`] used in normal operation.
-#[derive(Debug, Default)]
-pub struct StdIo;
-
-impl CkptIo for StdIo {
-    fn create(&self, path: &Path) -> io::Result<File> {
-        File::create(path)
-    }
-
-    fn write_chunk(&self, file: &mut File, chunk: &[u8]) -> io::Result<()> {
-        file.write_all(chunk)
-    }
-
-    fn sync(&self, file: &mut File) -> io::Result<()> {
-        file.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        fs::remove_file(path)
-    }
-}
-
 /// [`CkptIo`] wrapper that injects the failure described by a
 /// [`FaultSpec`], counting every operation.
 #[derive(Debug)]
 pub struct FaultIo {
     spec: FaultSpec,
     ops: AtomicU64,
+    /// Renames and directory creations whose containing directory has
+    /// not been synced since, oldest first: what a power cut takes back.
+    unsynced: Mutex<Vec<Unsynced>>,
+}
+
+/// A directory entry that a power cut would take back.
+#[derive(Debug)]
+struct Unsynced {
+    /// The directory whose sync makes the entry durable.
+    dir: PathBuf,
+    /// The new name: a created directory, or a rename's target.
+    name: PathBuf,
+    /// A rename's source (generation names are never reused, so undoing
+    /// a rename restores no replaced file).
+    from: Option<PathBuf>,
 }
 
 impl FaultIo {
@@ -197,6 +177,7 @@ impl FaultIo {
         FaultIo {
             spec,
             ops: AtomicU64::new(0),
+            unsynced: Mutex::new(Vec::new()),
         }
     }
 
@@ -205,6 +186,19 @@ impl FaultIo {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
         match self.spec.mode {
             FaultMode::CrashMidWrite => op >= self.spec.fail_at,
+            FaultMode::PowerLoss => {
+                if op == self.spec.fail_at {
+                    // Best effort: an entry may be gone already, with an
+                    // undone directory around it.
+                    for entry in self.ledger().drain(..).rev() {
+                        let _ = match entry.from {
+                            Some(from) => fs::rename(entry.name, from),
+                            None => fs::remove_dir_all(entry.name),
+                        };
+                    }
+                }
+                op >= self.spec.fail_at
+            }
             FaultMode::WriteError | FaultMode::TornWrite => op == self.spec.fail_at,
         }
     }
@@ -212,14 +206,49 @@ impl FaultIo {
     fn injected(&self) -> io::Error {
         io::Error::other(format!("injected fault at operation {}", self.spec.fail_at))
     }
+
+    /// Counts one operation that fails if the fault triggers on it (a
+    /// torn write only ever damages a chunk).
+    fn step(&self) -> io::Result<()> {
+        if self.trips() && self.spec.mode != FaultMode::TornWrite {
+            return Err(self.injected());
+        }
+        Ok(())
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, Vec<Unsynced>> {
+        self.unsynced
+            .lock()
+            .expect("a thread panicked while holding the fault ledger")
+    }
+
+    fn record(&self, name: &Path, from: Option<&Path>) {
+        let dir = match name.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        self.ledger().push(Unsynced {
+            dir: dir.to_path_buf(),
+            name: name.to_path_buf(),
+            from: from.map(Path::to_path_buf),
+        });
+    }
 }
 
 impl CkptIo for FaultIo {
     fn create(&self, path: &Path) -> io::Result<File> {
-        if self.trips() && self.spec.mode != FaultMode::TornWrite {
-            return Err(self.injected());
+        self.step()?;
+        let fresh: Vec<&Path> = path
+            .ancestors()
+            .skip(1)
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+            .collect();
+        let file = StdIo.create(path)?;
+        // In creation order, outermost first.
+        for dir in fresh.into_iter().rev() {
+            self.record(dir, None);
         }
-        File::create(path)
+        Ok(file)
     }
 
     fn write_chunk(&self, file: &mut File, chunk: &[u8]) -> io::Result<()> {
@@ -227,32 +256,35 @@ impl CkptIo for FaultIo {
             return match self.spec.mode {
                 // Half the chunk reaches the disk; success is reported
                 // anyway, as a cut power line would have it.
-                FaultMode::TornWrite => file.write_all(&chunk[..chunk.len() / 2]),
-                FaultMode::WriteError | FaultMode::CrashMidWrite => Err(self.injected()),
+                FaultMode::TornWrite => StdIo.write_chunk(file, &chunk[..chunk.len() / 2]),
+                _ => Err(self.injected()),
             };
         }
-        file.write_all(chunk)
+        StdIo.write_chunk(file, chunk)
     }
 
     fn sync(&self, file: &mut File) -> io::Result<()> {
-        if self.trips() && self.spec.mode != FaultMode::TornWrite {
-            return Err(self.injected());
-        }
-        file.sync_all()
+        self.step()?;
+        StdIo.sync(file)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.trips() && self.spec.mode != FaultMode::TornWrite {
-            return Err(self.injected());
-        }
-        fs::rename(from, to)
+        self.step()?;
+        StdIo.rename(from, to)?;
+        self.record(to, Some(from));
+        Ok(())
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        if self.trips() && self.spec.mode != FaultMode::TornWrite {
-            return Err(self.injected());
-        }
-        fs::remove_file(path)
+        self.step()?;
+        StdIo.remove(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.step()?;
+        StdIo.sync_dir(dir)?;
+        self.ledger().retain(|entry| entry.dir != dir);
+        Ok(())
     }
 }
 
@@ -371,52 +403,153 @@ fn decode(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
     })
 }
 
-fn generation_file_name(generation: u64) -> String {
-    format!("gen-{generation:08}.ckpt")
-}
-
-/// Parses `gen-XXXXXXXX.ckpt`, rejecting temp files and strangers.
-fn parse_generation(name: &str) -> Option<u64> {
-    name.strip_prefix("gen-")?
-        .strip_suffix(".ckpt")?
-        .parse()
-        .ok()
-}
-
-/// Generation files under `dir`, sorted oldest → newest. A missing
-/// directory is an empty list, not an error.
-fn scan_generations(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut generations: Vec<(u64, PathBuf)> = entries
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let generation = parse_generation(e.file_name().to_str()?)?;
-            Some((generation, e.path()))
-        })
-        .collect();
-    generations.sort_unstable_by_key(|(g, _)| *g);
-    generations
-}
-
-/// Writes and reads generation-rotated, checksummed training
-/// checkpoints in one directory.
-pub struct Checkpointer {
-    config: CheckpointConfig,
+/// Generation-rotated, sealed artifacts of one kind in one directory:
+/// `gen-NNNNNNNN.<ext>` naming, scanning, numbering, save + prune, and
+/// the newest-first corrupt fallback — the layout of training and
+/// session checkpoints and of the serving model registry.
+#[derive(Debug)]
+pub struct GenerationStore {
+    dir: PathBuf,
+    ext: &'static str,
+    /// Metric namespace: `<ns>/save` (span), `<ns>/write_ms`,
+    /// `<ns>/bytes`, `<ns>/generation`, `<ns>/corrupt_fallbacks`.
+    metrics: &'static str,
+    keep: u64,
     io: Arc<dyn CkptIo>,
     /// Next generation number to write; 0 = not yet determined (scan on
     /// first use).
     next_generation: u64,
 }
 
-impl std::fmt::Debug for Checkpointer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Checkpointer")
-            .field("config", &self.config)
-            .field("next_generation", &self.next_generation)
-            .finish()
+impl GenerationStore {
+    /// A store of `.<ext>` generations in `dir` (created on the first
+    /// save) that keeps `keep` of them — at least 2, so a corrupt latest
+    /// always has a fallback — and writes through `io`.
+    pub fn new(
+        dir: impl Into<PathBuf>,
+        ext: &'static str,
+        metrics: &'static str,
+        keep: usize,
+        io: Arc<dyn CkptIo>,
+    ) -> GenerationStore {
+        GenerationStore {
+            dir: dir.into(),
+            ext,
+            metrics,
+            keep: keep.max(2) as u64,
+            io,
+            next_generation: 0,
+        }
     }
+
+    fn file_name(&self, generation: u64) -> String {
+        format!("gen-{generation:08}.{}", self.ext)
+    }
+
+    /// Parses `gen-NNNNNNNN.<ext>`, rejecting temp files and strangers.
+    fn parse(&self, name: &str) -> Option<u64> {
+        name.strip_prefix("gen-")?
+            .strip_suffix(self.ext)?
+            .strip_suffix('.')?
+            .parse()
+            .ok()
+    }
+
+    fn metric(&self, name: &str) -> String {
+        format!("{}/{name}", self.metrics)
+    }
+
+    /// Generation files on disk, oldest → newest. A missing directory is
+    /// an empty list, not an error.
+    pub fn generations(&self) -> Vec<(u64, PathBuf)> {
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut generations: Vec<(u64, PathBuf)> = entries
+            .filter_map(|e| {
+                let e = e.ok()?;
+                let generation = self.parse(e.file_name().to_str()?)?;
+                Some((generation, e.path()))
+            })
+            .collect();
+        generations.sort_unstable_by_key(|(g, _)| *g);
+        generations
+    }
+
+    /// Writes an already-sealed payload (callers own magic, version and
+    /// checksum) as the next generation through
+    /// [`metadse_obs::atomic_write`], then prunes beyond the keep window.
+    /// Returns the generation number once its directory entry is durable.
+    ///
+    /// # Errors
+    ///
+    /// Any IO failure (including injected faults). The directory never
+    /// holds a partially written generation file.
+    pub fn save_bytes(&mut self, bytes: &[u8]) -> Result<u64, CheckpointError> {
+        let _span = obs::enabled().then(|| obs::span(&self.metric("save")));
+        let started = Instant::now();
+        if self.next_generation == 0 {
+            self.next_generation = self.generations().last().map_or(1, |(g, _)| g + 1);
+        }
+        let generation = self.next_generation;
+        atomic_write(&*self.io, self.dir.join(self.file_name(generation)), bytes)?;
+        self.next_generation = generation + 1;
+        for (old, path) in self.generations() {
+            if old + self.keep <= generation {
+                // Pruning is advisory; never fail a successful save over it.
+                let _ = self.io.remove(&path);
+            }
+        }
+        obs::with(|| {
+            obs::histogram(
+                &self.metric("write_ms"),
+                started.elapsed().as_secs_f64() * 1e3,
+            );
+            obs::gauge(&self.metric("bytes"), bytes.len() as f64);
+            obs::gauge(&self.metric("generation"), generation as f64);
+        });
+        Ok(generation)
+    }
+
+    /// Loads the newest generation that `decode` accepts, warning about
+    /// and counting (`<ns>/corrupt_fallbacks`) each one it falls back
+    /// past; `None` when nothing is readable. The decoder must verify
+    /// integrity (unseal a checksummed container).
+    pub fn load_latest_with<T>(
+        &mut self,
+        decode: impl Fn(&[u8]) -> Result<T, CheckpointError>,
+    ) -> Option<(T, u64)> {
+        let generations = self.generations();
+        self.next_generation = generations.last().map_or(1, |(g, _)| g + 1);
+        for (generation, path) in generations.iter().rev() {
+            match fs::read(path)
+                .map_err(CheckpointError::from)
+                .and_then(|b| decode(&b))
+            {
+                Ok(value) => {
+                    obs::with(|| obs::gauge(&self.metric("generation"), *generation as f64));
+                    return Some((value, *generation));
+                }
+                Err(e) => {
+                    obs::with(|| obs::counter(&self.metric("corrupt_fallbacks"), 1));
+                    report::warn(format!(
+                        "{} unreadable ({e}); falling back to the previous generation",
+                        path.display()
+                    ));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Training checkpoints: a `.ckpt` [`GenerationStore`] (reached through
+/// `Deref`) plus the [`CheckpointConfig`] cadence meta-training reads
+/// (`interval`, `halt_after`) and the [`TrainState`] codec.
+#[derive(Debug)]
+pub struct Checkpointer {
+    config: CheckpointConfig,
+    store: GenerationStore,
 }
 
 impl Checkpointer {
@@ -427,20 +560,13 @@ impl Checkpointer {
             Some(spec) => Arc::new(FaultIo::new(spec)),
             None => Arc::new(StdIo),
         };
-        Checkpointer {
-            config,
-            io,
-            next_generation: 0,
-        }
+        Checkpointer::with_io(config, io)
     }
 
     /// A checkpointer with a caller-supplied IO shim.
     pub fn with_io(config: CheckpointConfig, io: Arc<dyn CkptIo>) -> Checkpointer {
-        Checkpointer {
-            config,
-            io,
-            next_generation: 0,
-        }
+        let store = GenerationStore::new(config.dir.clone(), "ckpt", "ckpt", config.keep, io);
+        Checkpointer { config, store }
     }
 
     /// The configuration this checkpointer was built with.
@@ -448,125 +574,32 @@ impl Checkpointer {
         &self.config
     }
 
-    fn ensure_generation_cursor(&mut self) {
-        if self.next_generation == 0 {
-            self.next_generation = scan_generations(&self.config.dir)
-                .last()
-                .map_or(1, |(g, _)| g + 1);
-        }
-    }
-
-    /// Writes `state` as the next generation: temp file → chunked writes
-    /// → fsync → rename, then prunes generations beyond
-    /// [`CheckpointConfig::keep`]. Returns the generation number.
+    /// Writes `state` as the next generation.
     ///
     /// # Errors
     ///
-    /// Any IO failure (including injected faults). The temp file is
-    /// removed on a best-effort basis and the target directory never
-    /// holds a partially written generation file.
+    /// As for [`GenerationStore::save_bytes`].
     pub fn save(&mut self, state: &TrainState) -> Result<u64, CheckpointError> {
-        self.save_bytes(&encode(state))
+        self.store.save_bytes(&encode(state))
     }
 
-    /// Writes an already-sealed payload as the next generation through
-    /// the same atomic temp → chunk → fsync → rename → prune path as
-    /// [`save`](Checkpointer::save). Callers own the seal (magic,
-    /// version, checksum); pairing with
-    /// [`load_latest_with`](Checkpointer::load_latest_with) keeps the
-    /// corrupt-fallback guarantee for any payload type.
-    ///
-    /// # Errors
-    ///
-    /// Any IO failure (including injected faults), as for
-    /// [`save`](Checkpointer::save).
-    pub fn save_bytes(&mut self, bytes: &[u8]) -> Result<u64, CheckpointError> {
-        let _span = obs::span("ckpt/save");
-        let started = Instant::now();
-        fs::create_dir_all(&self.config.dir)?;
-        self.ensure_generation_cursor();
-        let generation = self.next_generation;
-        let final_path = self.config.dir.join(generation_file_name(generation));
-        let tmp_path = self.config.dir.join(format!(
-            ".{}.tmp-{}",
-            generation_file_name(generation),
-            std::process::id()
-        ));
-
-        let outcome = (|| -> io::Result<()> {
-            let mut file = self.io.create(&tmp_path)?;
-            for chunk in bytes.chunks(CHUNK) {
-                self.io.write_chunk(&mut file, chunk)?;
-            }
-            self.io.sync(&mut file)?;
-            drop(file);
-            self.io.rename(&tmp_path, &final_path)
-        })();
-        if let Err(e) = outcome {
-            // Best effort — a genuinely dead process would leave the temp
-            // file too, and loads ignore it either way.
-            let _ = self.io.remove(&tmp_path);
-            return Err(e.into());
-        }
-
-        self.next_generation = generation + 1;
-        let keep = self.config.keep.max(2) as u64;
-        for (old, path) in scan_generations(&self.config.dir) {
-            if old + keep <= generation {
-                // Pruning is advisory; never fail a successful save over it.
-                let _ = self.io.remove(&path);
-            }
-        }
-
-        obs::histogram("ckpt/write_ms", started.elapsed().as_secs_f64() * 1e3);
-        obs::gauge("ckpt/bytes", bytes.len() as f64);
-        obs::gauge("ckpt/generation", generation as f64);
-        Ok(generation)
+    /// Loads the newest readable training state.
+    pub fn load_latest(&mut self) -> Option<(TrainState, u64)> {
+        self.store.load_latest_with(decode)
     }
+}
 
-    /// Loads the newest readable generation, falling back past corrupt
-    /// ones (each fallback is warned about and counted on
-    /// `ckpt/corrupt_fallbacks`). `Ok(None)` when the directory is
-    /// missing, empty, or nothing in it is readable.
-    pub fn load_latest(&mut self) -> Result<Option<(TrainState, u64)>, CheckpointError> {
-        self.load_latest_with(decode)
+impl Deref for Checkpointer {
+    type Target = GenerationStore;
+
+    fn deref(&self) -> &GenerationStore {
+        &self.store
     }
+}
 
-    /// Loads the newest generation that `decode` accepts, with the same
-    /// corrupt-fallback walk as [`load_latest`](Checkpointer::load_latest).
-    /// The decoder must verify integrity (unseal a checksummed
-    /// container) — a decoder that accepts torn bytes defeats the
-    /// fallback.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today: unreadable generations are skipped, and an
-    /// empty or missing directory is `Ok(None)`.
-    pub fn load_latest_with<T>(
-        &mut self,
-        decode: impl Fn(&[u8]) -> Result<T, CheckpointError>,
-    ) -> Result<Option<(T, u64)>, CheckpointError> {
-        let generations = scan_generations(&self.config.dir);
-        self.next_generation = generations.last().map_or(1, |(g, _)| g + 1);
-        for (generation, path) in generations.iter().rev() {
-            match fs::read(path)
-                .map_err(CheckpointError::from)
-                .and_then(|b| decode(&b))
-            {
-                Ok(state) => {
-                    obs::gauge("ckpt/generation", *generation as f64);
-                    return Ok(Some((state, *generation)));
-                }
-                Err(e) => {
-                    obs::counter("ckpt/corrupt_fallbacks", 1);
-                    report::warn(format!(
-                        "checkpoint {} unreadable ({e}); falling back to the previous generation",
-                        path.display()
-                    ));
-                }
-            }
-        }
-        Ok(None)
+impl DerefMut for Checkpointer {
+    fn deref_mut(&mut self) -> &mut GenerationStore {
+        &mut self.store
     }
 }
 
@@ -632,9 +665,9 @@ mod tests {
             let generation = cp.save(&sample_state(tag)).unwrap();
             assert_eq!(generation, tag + 1);
         }
-        let on_disk: Vec<u64> = scan_generations(&dir).iter().map(|(g, _)| *g).collect();
+        let on_disk: Vec<u64> = cp.generations().iter().map(|(g, _)| *g).collect();
         assert_eq!(on_disk, vec![4, 5], "keep=2 retains the last two");
-        let (state, generation) = cp.load_latest().unwrap().unwrap();
+        let (state, generation) = cp.load_latest().unwrap();
         assert_eq!(generation, 5);
         assert_eq!(state, sample_state(4));
         fs::remove_dir_all(&dir).ok();
@@ -644,7 +677,7 @@ mod tests {
     fn missing_directory_loads_as_none_and_numbers_from_one() {
         let dir = temp_dir("missing");
         let mut cp = Checkpointer::new(CheckpointConfig::new(&dir));
-        assert!(cp.load_latest().unwrap().is_none());
+        assert!(cp.load_latest().is_none());
         assert_eq!(cp.save(&sample_state(0)).unwrap(), 1);
         fs::remove_dir_all(&dir).ok();
     }
@@ -664,9 +697,9 @@ mod tests {
             })),
         );
         torn.save(&sample_state(1)).unwrap(); // reports success — torn writes lie
-        assert_eq!(scan_generations(&dir).len(), 2);
+        assert_eq!(cp.generations().len(), 2);
 
-        let (state, generation) = cp.load_latest().unwrap().unwrap();
+        let (state, generation) = cp.load_latest().unwrap();
         assert_eq!(generation, 1, "corrupt latest must fall back");
         assert_eq!(state, sample_state(0));
         fs::remove_dir_all(&dir).ok();
@@ -683,10 +716,10 @@ mod tests {
             ..CheckpointConfig::new(&dir)
         });
         assert!(cp.save(&sample_state(0)).is_err());
-        assert!(scan_generations(&dir).is_empty());
+        assert!(cp.generations().is_empty());
         // The fault fires once; the retry (e.g. next interval) succeeds.
         cp.save(&sample_state(1)).unwrap();
-        let (state, _) = cp.load_latest().unwrap().unwrap();
+        let (state, _) = cp.load_latest().unwrap();
         assert_eq!(state, sample_state(1));
         fs::remove_dir_all(&dir).ok();
     }
@@ -712,9 +745,42 @@ mod tests {
             .count();
         assert_eq!(leftovers, 1, "crash leaves the in-flight temp file");
         // … but resume still sees only the good generation.
-        let (state, generation) = cp.load_latest().unwrap().unwrap();
+        let (state, generation) = cp.load_latest().unwrap();
         assert_eq!((state, generation), (sample_state(0), 1));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cuts the power at every operation of three saves in turn (the
+    /// first creates the directory, the third prunes): after each cut,
+    /// the newest generation whose save returned `Ok` must load
+    /// bit-identically, and nothing unacknowledged may.
+    #[test]
+    fn power_loss_keeps_exactly_the_acknowledged_generations() {
+        for fail_at in 0.. {
+            let dir = temp_dir("power");
+            let io = Arc::new(FaultIo::new(FaultSpec {
+                fail_at,
+                mode: FaultMode::PowerLoss,
+            }));
+            let config = CheckpointConfig {
+                keep: 2,
+                ..CheckpointConfig::new(&dir)
+            };
+            let mut cp = Checkpointer::with_io(config.clone(), io.clone());
+            let mut acknowledged = None;
+            for tag in 0..3 {
+                if let Ok(generation) = cp.save(&sample_state(tag)) {
+                    acknowledged = Some((sample_state(tag), generation));
+                }
+            }
+            // After the cut: what a fresh process finds on disk.
+            let loaded = Checkpointer::new(config).load_latest();
+            assert_eq!(loaded, acknowledged, "power cut at operation {fail_at}");
+            fs::remove_dir_all(&dir).ok();
+            if io.ops.load(Ordering::SeqCst) <= fail_at {
+                break; // the power never went: every operation covered
+            }
+        }
     }
 
     #[test]

@@ -268,9 +268,9 @@ pub fn pretrain_metadse(
             hash ^= b as u64;
             hash = hash.wrapping_mul(0x100000001b3);
         }
-        let dir = std::path::Path::new("results").join("checkpoints");
-        let _ = std::fs::create_dir_all(&dir);
-        dir.join(format!("pretrain-{hash:016x}.ckpt"))
+        std::path::Path::new("results")
+            .join("checkpoints")
+            .join(format!("pretrain-{hash:016x}.ckpt"))
     });
 
     let loaded = cache_path.as_ref().is_some_and(|p| {

@@ -387,7 +387,7 @@ pub fn pretrain(
 
     if let Some(cp) = checkpointer.as_mut() {
         match cp.load_latest() {
-            Ok(Some((state, generation))) if state.fingerprint == fingerprint => {
+            Some((state, generation)) if state.fingerprint == fingerprint => {
                 model.load_values(&state.params);
                 best_params = state
                     .best_params
@@ -415,12 +415,11 @@ pub fn pretrain(
                      (epoch {start_epoch}, iteration {resume_iter})"
                 ));
             }
-            Ok(Some(_)) => report::warn(
+            Some(_) => report::warn(
                 "checkpoint: configuration fingerprint mismatch; ignoring checkpoints \
                  and starting fresh",
             ),
-            Ok(None) => {}
-            Err(e) => report::warn(format!("checkpoint: load failed ({e}); starting fresh")),
+            None => {}
         }
     }
 

@@ -17,7 +17,9 @@
 //! bit-identical to the captured model's — the mechanism the serving
 //! worker pool uses, one instantiation per worker thread.
 //!
-//! On disk an artifact is a sealed container ([`metadse_nn::format`]):
+//! Serialized ([`ServablePredictor::to_bytes`]), an artifact is a sealed
+//! container ([`metadse_nn::format`]) — on disk, a generation of the
+//! serving model registry:
 //!
 //! ```text
 //! magic "MDSESRVM" | u32 version | payload | u64 fnv1a
@@ -29,10 +31,7 @@
 //! artifact whose seal was recomputed over altered bytes still cannot
 //! impersonate the captured model.
 
-use std::io;
-use std::path::Path;
-
-use metadse_nn::format::{self, fnv1a, seal, unseal, ByteReader, ByteWriter};
+use metadse_nn::format::{fnv1a, seal, unseal, ByteReader, ByteWriter};
 use metadse_nn::layers::{Module, Param};
 use metadse_nn::serialize::{
     entries_from_bytes, load_params_from_bytes, params_to_bytes, CheckpointError,
@@ -244,26 +243,6 @@ impl ServablePredictor {
             fingerprint,
         })
     }
-
-    /// Writes the sealed artifact to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        format::atomic_write(path, &self.to_bytes())
-    }
-
-    /// Reads and decodes a sealed artifact from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] for unreadable files and
-    /// [`CheckpointError::Format`] for corrupt ones.
-    pub fn load(path: impl AsRef<Path>) -> Result<ServablePredictor, CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        ServablePredictor::from_bytes(&bytes)
-    }
 }
 
 /// FNV-1a over the geometry, metric label, parameter payload, and mask
@@ -392,16 +371,5 @@ mod tests {
         // Same content → same fingerprint.
         let a2 = ServablePredictor::capture(&small_model(1), None, "ipc");
         assert_eq!(a.fingerprint(), a2.fingerprint());
-    }
-
-    #[test]
-    fn save_load_roundtrips_on_disk() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("metadse-servable-{}.model", std::process::id()));
-        let servable = ServablePredictor::capture(&small_model(15), None, "ipc");
-        servable.save(&path).unwrap();
-        let loaded = ServablePredictor::load(&path).unwrap();
-        assert_eq!(loaded, servable);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -145,15 +145,9 @@ fn corrupt_latest_generation_falls_back_and_still_matches() {
     );
 
     // Flip bytes in the middle of the newest generation file.
-    let mut generations: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    generations.sort();
+    let generations = Checkpointer::new(ckpt.clone()).generations();
     assert!(generations.len() >= 2, "need a fallback target");
-    let latest = generations.last().unwrap();
+    let (_, latest) = generations.last().unwrap();
     let mut bytes = std::fs::read(latest).unwrap();
     let mid = bytes.len() / 2;
     for b in &mut bytes[mid..mid + 16] {
@@ -162,7 +156,7 @@ fn corrupt_latest_generation_falls_back_and_still_matches() {
     std::fs::write(latest, &bytes).unwrap();
 
     // The checksum rejects the corrupt file and the loader falls back.
-    let loaded = Checkpointer::new(ckpt.clone()).load_latest().unwrap();
+    let loaded = Checkpointer::new(ckpt.clone()).load_latest();
     let (_, generation) = loaded.expect("an intact generation must remain");
     assert_eq!(
         generation as usize,
@@ -200,10 +194,7 @@ fn torn_write_is_caught_on_resume() {
         }),
     );
     let mut intact = Checkpointer::new(ckpt.clone());
-    let (state, generation) = intact
-        .load_latest()
-        .unwrap()
-        .expect("halt at 3 checkpointed");
+    let (state, generation) = intact.load_latest().expect("halt at 3 checkpointed");
     let mut torn = Checkpointer::with_io(
         ckpt.clone(),
         Arc::new(FaultIo::new(FaultSpec {
@@ -215,7 +206,7 @@ fn torn_write_is_caught_on_resume() {
     assert!(torn_generation > generation);
 
     // Load skips the torn newcomer and serves the intact state …
-    let (reloaded, loaded_generation) = intact.load_latest().unwrap().unwrap();
+    let (reloaded, loaded_generation) = intact.load_latest().unwrap();
     assert_eq!(loaded_generation, generation);
     assert_eq!(reloaded, state);
 
@@ -251,7 +242,7 @@ fn write_errors_degrade_gracefully() {
     );
     let mut cp = Checkpointer::new(CheckpointConfig::new(&dir));
     assert!(
-        cp.load_latest().unwrap().is_some(),
+        cp.load_latest().is_some(),
         "checkpoints after the failed one must still be written"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -386,7 +377,7 @@ fn check_cross_build_digest(report: &impl std::fmt::Debug, params: &[Vec<f64>]) 
             digest,
             "kill-and-resume digest diverged from the recorded uninterrupted digest in {path}"
         ),
-        _ => metadse_nn::format::atomic_write(&path, digest.as_bytes())
+        _ => metadse_obs::atomic_write(&metadse_obs::StdIo, &path, digest.as_bytes())
             .unwrap_or_else(|e| panic!("could not record digest in {path}: {e}")),
     }
 }

@@ -165,7 +165,7 @@ fn check_cross_build_digest(report: &impl std::fmt::Debug, params: &[Vec<f64>]) 
             "pretrain digest diverged from the one recorded in {path} — \
              a differently-featured build changed the numerics"
         ),
-        _ => metadse_nn::format::atomic_write(&path, digest.as_bytes())
+        _ => metadse_obs::atomic_write(&metadse_obs::StdIo, &path, digest.as_bytes())
             .unwrap_or_else(|e| panic!("could not record digest in {path}: {e}")),
     }
 }

@@ -1,4 +1,4 @@
-//! Versioned, checksummed binary containers and crash-safe file writes.
+//! Versioned, checksummed binary containers.
 //!
 //! Every on-disk artifact of the workspace that must survive interrupted
 //! processes goes through this module:
@@ -15,13 +15,8 @@
 //!
 //!   The checksum covers the header *and* the payload, so a sealed file
 //!   whose header was spliced onto a different body also fails.
-//! * [`atomic_write`] — temp file in the target directory → flush+fsync →
-//!   rename, so readers only ever observe the old file or the complete
-//!   new one, never a prefix.
-
-use std::fs::File;
-use std::io::{self, Write};
-use std::path::Path;
+//!
+//! Files are written through `metadse_obs::atomic_write`.
 
 /// 64-bit FNV-1a over `bytes` — the workspace's standard content hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -238,43 +233,6 @@ pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<(u32, &'a [u8]), F
     Ok((version, &bytes[HEADER..HEADER + len]))
 }
 
-/// Writes `bytes` to `path` atomically: a unique temp file in the same
-/// directory is written, flushed, fsynced, and renamed over the target.
-/// A crash at any point leaves either the old file or the complete new
-/// one — never a prefix.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error; the temp file is removed on failure
-/// (best effort).
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp_name = format!(
-        ".{}.tmp-{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => Path::new(&tmp_name).to_path_buf(),
-    };
-    let result = (|| {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.flush()?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,15 +316,5 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(ByteReader::new(&bytes).f64_vec().is_err());
         assert!(ByteReader::new(&bytes).f64_vecs().is_err());
-    }
-
-    #[test]
-    fn atomic_write_replaces_contents() {
-        let path = std::env::temp_dir().join(format!("metadse-fmt-{}", std::process::id()));
-        atomic_write(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        std::fs::remove_file(&path).ok();
     }
 }

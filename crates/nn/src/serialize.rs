@@ -13,7 +13,7 @@
 //! [`Param`] list by name, so parameter ordering may differ between save
 //! and load as long as names and shapes match.
 //!
-//! [`save_params`] writes through [`crate::format::atomic_write`]: an
+//! [`save_params`] writes through [`metadse_obs::atomic_write`]: an
 //! interrupted save can never leave a half-written file at the target
 //! path. The same encoding is exposed at the buffer level
 //! ([`params_to_bytes`] / [`load_params_from_bytes`], and
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::format::{self, ByteReader, ByteWriter, FormatError};
+use crate::format::{ByteReader, ByteWriter, FormatError};
 use crate::layers::Param;
 use crate::optim::AdamState;
 use crate::{Elem, Tensor};
@@ -101,7 +101,7 @@ pub fn params_to_bytes(params: &[Param]) -> Vec<u8> {
 ///
 /// Returns an error if the file cannot be created or written.
 pub fn save_params(params: &[Param], path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    format::atomic_write(path, &params_to_bytes(params))?;
+    metadse_obs::atomic_write(&metadse_obs::StdIo, path, &params_to_bytes(params))?;
     Ok(())
 }
 

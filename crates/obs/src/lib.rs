@@ -5,7 +5,8 @@
 //! lock-light metrics registry (counters, gauges, fixed log-scale-bucket
 //! histograms), JSON-lines trace export, and a human-readable end-of-run
 //! summary. A shared [`report`] sink gives every harness binary one place
-//! to print through.
+//! to print through, and [`atomic_write`] is the workspace's one durable
+//! file write (it sits here because this is the lowest crate).
 //!
 //! ## Zero overhead by construction
 //!
@@ -42,10 +43,13 @@
 //! let _lines = metadse_obs::to_jsonl();
 //! ```
 
+mod durable;
 pub mod frame;
 pub mod introspect;
 pub mod report;
 pub mod window;
+
+pub use durable::{atomic_write, CkptIo, StdIo};
 
 #[cfg(feature = "enabled")]
 mod metrics;
@@ -54,50 +58,8 @@ mod sink;
 #[cfg(feature = "enabled")]
 mod span;
 
-/// Writes `contents` to `path` atomically: temp file in the same
-/// directory → write → flush → fsync → rename. Readers never observe a
-/// torn artifact; a crash leaves at worst an orphaned `.{name}.tmp-pid`.
-///
-/// (A copy of `metadse_nn::format::atomic_write` — obs sits below nn in
-/// the dependency graph, so it cannot borrow nn's helper.)
-///
-/// # Errors
-///
-/// Returns any underlying I/O error; the temp file is removed
-/// best-effort on failure.
-pub fn atomic_write(path: &std::path::Path, contents: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-
-    let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("atomic_write target {} has no file name", path.display()),
-        )
-    })?;
-    let tmp = dir.join(format!(
-        ".{}.tmp-{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    let write = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.flush()?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if write.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    write
-}
-
 #[cfg(feature = "enabled")]
 mod api {
-    use std::io;
-    use std::path::Path;
-
     use crate::span as span_mod;
     use crate::{metrics, sink};
 
@@ -194,16 +156,6 @@ mod api {
         sink::to_jsonl()
     }
 
-    /// Writes [`to_jsonl`] to `path` atomically (temp→fsync→rename), so
-    /// a crash mid-export never leaves a torn trace file.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn write_jsonl(path: &Path) -> io::Result<()> {
-        crate::atomic_write(path, sink::to_jsonl().as_bytes())
-    }
-
     /// Plain-text exposition of every registered metric, one per line:
     /// `counter <name> <value>`, `gauge <name> <value>`, and
     /// `histogram <name> count <n> mean <m> p50 <q> p99 <q> min <a>
@@ -236,9 +188,6 @@ mod api {
 
 #[cfg(not(feature = "enabled"))]
 mod api {
-    use std::io;
-    use std::path::Path;
-
     /// Whether instrumentation is compiled in.
     pub const fn enabled() -> bool {
         false
@@ -318,16 +267,6 @@ mod api {
         String::new()
     }
 
-    /// Writes an empty trace so downstream tooling finds the file —
-    /// atomically, matching the enabled build's crash discipline.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn write_jsonl(path: &Path) -> io::Result<()> {
-        crate::atomic_write(path, b"")
-    }
-
     /// Empty: no metrics exist without the `enabled` feature.
     pub fn exposition() -> String {
         String::new()
@@ -335,3 +274,14 @@ mod api {
 }
 
 pub use api::*;
+
+/// Writes [`to_jsonl`] to `path` through [`atomic_write`], so a crash
+/// mid-export never leaves a torn trace file. Without the `enabled`
+/// feature the trace is empty, but downstream tooling still finds it.
+///
+/// # Errors
+///
+/// Returns any underlying I/O error.
+pub fn write_jsonl(path: &std::path::Path) -> std::io::Result<()> {
+    atomic_write(&StdIo, path, to_jsonl().as_bytes())
+}

@@ -1,25 +1,20 @@
 //! Generation-rotated model registry with hot swap and corrupt fallback.
 //!
-//! On disk the registry is one directory per workload, each holding
-//! generation-numbered sealed [`ServablePredictor`] artifacts:
+//! On disk the registry is one directory per workload, each a
+//! [`GenerationStore`] of sealed [`ServablePredictor`] artifacts:
 //!
 //! ```text
 //! <root>/<workload>/gen-00000001.model
 //! <root>/<workload>/gen-00000002.model   ← newest wins
 //! ```
 //!
-//! [`ModelRegistry::publish`] writes the next generation atomically
-//! (temp file → fsync → rename, via [`ServablePredictor::save`]) and
-//! prunes old generations beyond the keep window — the same discipline
-//! as the training checkpointer in `metadse::checkpoint`, so a crash
-//! mid-publish can never leave a half-written artifact where loads look.
-//!
-//! Loading mirrors the checkpointer's *corrupt-generation fallback*:
-//! [`ModelRegistry::refresh`] walks generations newest-first and serves
-//! the first one that decodes; every unreadable generation is warned
-//! about and counted on `serve/corrupt_fallbacks`. A torn latest file
-//! therefore degrades to the previous generation instead of taking the
-//! workload down.
+//! [`ModelRegistry::publish`] saves the next generation through the
+//! store, as training checkpoints are saved: a crash mid-publish never
+//! leaves a half-written artifact where loads look, and an acknowledged
+//! publish survives power loss. [`ModelRegistry::refresh`] serves the
+//! newest generation that decodes, so a torn latest file degrades to the
+//! previous generation (counted on `serve/corrupt_fallbacks`) instead of
+//! taking the workload down.
 //!
 //! In memory the registry is a read-mostly table of
 //! `Arc<`[`ModelEntry`]`>` behind an `RwLock`. Lookups clone the `Arc`,
@@ -37,10 +32,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
+use metadse::checkpoint::{CkptIo, GenerationStore, StdIo};
 use metadse::shard::ShardSpec;
 use metadse::ServablePredictor;
 use metadse_nn::serialize::CheckpointError;
-use metadse_obs::{self as obs, report};
+use metadse_obs as obs;
 
 use crate::plan::Plan;
 
@@ -73,6 +69,7 @@ pub struct ModelRegistry {
     root: PathBuf,
     /// Generations retained per workload after a publish (min 2).
     keep: usize,
+    io: Arc<dyn CkptIo>,
     table: RwLock<HashMap<String, Arc<ModelEntry>>>,
     /// Compiled plans keyed by `(artifact fingerprint, batch capacity)`.
     /// Content-addressed: a cached plan is *correct* for its
@@ -99,9 +96,16 @@ impl ModelRegistry {
     /// A registry rooted at `root` (created lazily), retaining `keep`
     /// generations per workload.
     pub fn new(root: impl Into<PathBuf>, keep: usize) -> ModelRegistry {
+        ModelRegistry::with_io(root, keep, Arc::new(StdIo))
+    }
+
+    /// A registry whose generation writes go through a caller-supplied
+    /// IO shim (fault injection).
+    pub fn with_io(root: impl Into<PathBuf>, keep: usize, io: Arc<dyn CkptIo>) -> ModelRegistry {
         ModelRegistry {
             root: root.into(),
-            keep: keep.max(2),
+            keep,
+            io,
             table: RwLock::new(HashMap::new()),
             plans: RwLock::new(HashMap::new()),
             epoch: AtomicU64::new(0),
@@ -116,9 +120,7 @@ impl ModelRegistry {
     /// workload directory found there.
     pub fn open(root: impl Into<PathBuf>, keep: usize) -> ModelRegistry {
         let registry = ModelRegistry::new(root, keep);
-        for workload in registry.scan_workloads() {
-            let _ = registry.refresh(&workload);
-        }
+        registry.refresh_all();
         registry
     }
 
@@ -131,9 +133,7 @@ impl ModelRegistry {
     pub fn open_sharded(root: impl Into<PathBuf>, keep: usize, spec: ShardSpec) -> ModelRegistry {
         let mut registry = ModelRegistry::new(root, keep);
         registry.shard = Some(spec);
-        for workload in registry.scan_workloads() {
-            let _ = registry.refresh(&workload);
-        }
+        registry.refresh_all();
         registry
     }
 
@@ -160,35 +160,24 @@ impl ModelRegistry {
     }
 
     /// Publishes `servable` as the next generation for `workload`:
-    /// atomic write, prune beyond the keep window, hot-swap the table.
+    /// durable save, prune beyond the keep window, hot-swap the table.
     /// Returns the generation number written.
     ///
     /// # Errors
     ///
-    /// Any I/O failure creating the workload directory or writing the
-    /// artifact; on error the previously served entry stays in place.
+    /// Any I/O failure writing the artifact or its directory; on error
+    /// the previously served entry stays in place.
     pub fn publish(
         &self,
         workload: &str,
         servable: &ServablePredictor,
     ) -> Result<u64, CheckpointError> {
-        let dir = self.workload_dir(workload);
-        fs::create_dir_all(&dir)?;
-        let generations = scan_generations(&dir);
-        let generation = generations.last().map_or(1, |(g, _)| g + 1);
-        servable.save(dir.join(generation_file_name(generation)))?;
-        for (old, path) in &generations {
-            if old + self.keep as u64 <= generation {
-                // Pruning is advisory; never fail a successful publish.
-                let _ = fs::remove_file(path);
-            }
-        }
+        let generation = self.store(workload).save_bytes(&servable.to_bytes())?;
         self.install(Arc::new(ModelEntry {
             workload: workload.to_string(),
             generation,
             servable: servable.clone(),
         }));
-        obs::gauge("serve/generation", generation as f64);
         Ok(generation)
     }
 
@@ -198,46 +187,37 @@ impl ModelRegistry {
     /// being served, or `None` when nothing on disk is readable — in
     /// which case a previously loaded entry is *kept*, not dropped.
     pub fn refresh(&self, workload: &str) -> Option<Arc<ModelEntry>> {
-        let dir = self.workload_dir(workload);
-        for (generation, path) in scan_generations(&dir).iter().rev() {
-            match ServablePredictor::load(path) {
-                Ok(servable) => {
-                    if let Some(spec) = self.shard {
-                        // Ownership is decided by the newest readable
-                        // artifact: if it belongs to another shard, the
-                        // workload is invisible here — no fallback to
-                        // older (possibly differently-owned) bytes.
-                        if !spec.owns(servable.fingerprint()) {
-                            return None;
-                        }
-                    }
-                    if let Some(current) = self.get(workload) {
-                        // Fingerprint-checked swap: identical content at
-                        // the same generation keeps worker caches warm.
-                        if current.generation == *generation
-                            && current.servable.fingerprint() == servable.fingerprint()
-                        {
-                            return Some(current);
-                        }
-                    }
-                    let entry = Arc::new(ModelEntry {
-                        workload: workload.to_string(),
-                        generation: *generation,
-                        servable,
-                    });
-                    self.install(entry.clone());
-                    return Some(entry);
-                }
-                Err(e) => {
-                    obs::counter("serve/corrupt_fallbacks", 1);
-                    report::warn(format!(
-                        "model {} unreadable ({e}); falling back to the previous generation",
-                        path.display()
-                    ));
-                }
+        let Some((servable, generation)) = self
+            .store(workload)
+            .load_latest_with(ServablePredictor::from_bytes)
+        else {
+            return self.get(workload);
+        };
+        if let Some(spec) = self.shard {
+            // Ownership is decided by the newest readable artifact: if
+            // it belongs to another shard, the workload is invisible
+            // here — no fallback to older (possibly differently-owned)
+            // bytes.
+            if !spec.owns(servable.fingerprint()) {
+                return None;
             }
         }
-        self.get(workload)
+        if let Some(current) = self.get(workload) {
+            // Fingerprint-checked swap: identical content at the same
+            // generation keeps worker caches warm.
+            if current.generation == generation
+                && current.servable.fingerprint() == servable.fingerprint()
+            {
+                return Some(current);
+            }
+        }
+        let entry = Arc::new(ModelEntry {
+            workload: workload.to_string(),
+            generation,
+            servable,
+        });
+        self.install(entry.clone());
+        Some(entry)
     }
 
     /// Refreshes every workload directory under the root; returns the
@@ -334,8 +314,15 @@ impl ModelRegistry {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    fn workload_dir(&self, workload: &str) -> PathBuf {
-        self.root.join(workload)
+    /// The `.model` generations of `workload`, counted on `serve/*`.
+    fn store(&self, workload: &str) -> GenerationStore {
+        GenerationStore::new(
+            self.root.join(workload),
+            "model",
+            "serve",
+            self.keep,
+            self.io.clone(),
+        )
     }
 
     fn scan_workloads(&self) -> Vec<String> {
@@ -356,38 +343,10 @@ impl ModelRegistry {
     }
 }
 
-fn generation_file_name(generation: u64) -> String {
-    format!("gen-{generation:08}.model")
-}
-
-/// Parses `gen-XXXXXXXX.model`, rejecting temp files and strangers.
-fn parse_generation(name: &str) -> Option<u64> {
-    name.strip_prefix("gen-")?
-        .strip_suffix(".model")?
-        .parse()
-        .ok()
-}
-
-/// Generation files under `dir`, sorted oldest → newest. A missing
-/// directory is an empty list, not an error.
-fn scan_generations(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut generations: Vec<(u64, PathBuf)> = entries
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let generation = parse_generation(e.file_name().to_str()?)?;
-            Some((generation, e.path()))
-        })
-        .collect();
-    generations.sort_unstable_by_key(|(g, _)| *g);
-    generations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metadse::checkpoint::{FaultIo, FaultMode, FaultSpec};
     use metadse::predictor::{PredictorConfig, TransformerPredictor};
 
     fn small_servable(seed: u64) -> ServablePredictor {
@@ -422,7 +381,9 @@ mod tests {
             let generation = registry.publish("mcf", &small_servable(seed)).unwrap();
             assert_eq!(generation, seed + 1);
         }
-        let on_disk: Vec<u64> = scan_generations(&root.join("mcf"))
+        let on_disk: Vec<u64> = registry
+            .store("mcf")
+            .generations()
             .iter()
             .map(|(g, _)| *g)
             .collect();
@@ -450,27 +411,85 @@ mod tests {
         fs::remove_dir_all(&root).ok();
     }
 
+    /// Publishes generation 2 over an intact generation 1 through a shim
+    /// that tears, crashes or fails the first chunk write (create = 0,
+    /// first chunk write = 1).
     #[test]
-    fn torn_latest_generation_falls_back_to_previous() {
-        let root = temp_root("torn");
-        let registry = ModelRegistry::new(&root, 4);
-        registry.publish("mcf", &small_servable(1)).unwrap();
-        registry.publish("mcf", &small_servable(2)).unwrap();
+    fn faulty_publish_never_exposes_a_partial_generation() {
+        for mode in [
+            FaultMode::TornWrite,
+            FaultMode::CrashMidWrite,
+            FaultMode::WriteError,
+        ] {
+            let root = temp_root(&format!("fault-{mode:?}"));
+            ModelRegistry::new(&root, 4)
+                .publish("mcf", &small_servable(1))
+                .unwrap();
+            let registry = ModelRegistry::with_io(
+                &root,
+                4,
+                Arc::new(FaultIo::new(FaultSpec { fail_at: 1, mode })),
+            );
+            let served = registry.refresh("mcf").unwrap();
+            let published = registry.publish("mcf", &small_servable(2));
+            if mode == FaultMode::TornWrite {
+                // Torn writes lie: the publish reports success and only
+                // the seal's checksum catches the damage on load.
+                assert_eq!(published.unwrap(), 2);
+            } else {
+                assert!(published.is_err(), "{mode:?}");
+                let now = registry.get("mcf").unwrap();
+                assert!(Arc::ptr_eq(&now, &served), "{mode:?}: served entry kept");
+                assert_eq!(registry.store("mcf").generations().len(), 1, "{mode:?}");
+            }
+            let fresh = ModelRegistry::open(&root, 4);
+            let entry = fresh.get("mcf").expect("generation 1 still served");
+            assert_eq!(entry.generation, 1, "{mode:?}");
+            assert_eq!(
+                entry.servable.fingerprint(),
+                small_servable(1).fingerprint()
+            );
+            fs::remove_dir_all(&root).ok();
+        }
+    }
 
-        // Tear the newest file mid-byte, as a crashed publish that
-        // bypassed the atomic rename would.
-        let newest = root.join("mcf").join(generation_file_name(2));
-        let bytes = fs::read(&newest).unwrap();
-        fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-
-        let fresh = ModelRegistry::open(&root, 4);
-        let entry = fresh.get("mcf").expect("fallback generation served");
-        assert_eq!(entry.generation, 1, "corrupt latest must fall back");
-        assert_eq!(
-            entry.servable.fingerprint(),
-            small_servable(1).fingerprint()
-        );
-        fs::remove_dir_all(&root).ok();
+    /// Cuts the power at every operation of three publishes in turn (the
+    /// first creates the root and workload directories, the third
+    /// prunes): a publish that failed leaves the served entry alone, and
+    /// after the cut a fresh registry serves exactly the newest
+    /// acknowledged generation.
+    #[test]
+    fn power_loss_keeps_every_acknowledged_publish() {
+        for fail_at in 0.. {
+            let root = temp_root("power");
+            let io = Arc::new(FaultIo::new(FaultSpec {
+                fail_at,
+                mode: FaultMode::PowerLoss,
+            }));
+            let registry = ModelRegistry::with_io(&root, 2, io.clone());
+            let mut acknowledged = None;
+            for seed in 1..=3 {
+                let before = registry.get("mcf").map(|e| e.generation);
+                match registry.publish("mcf", &small_servable(seed)) {
+                    Ok(generation) => acknowledged = Some((generation, seed)),
+                    Err(_) => assert_eq!(registry.get("mcf").map(|e| e.generation), before),
+                }
+            }
+            let served = ModelRegistry::open(&root, 2)
+                .get("mcf")
+                .map(|e| (e.generation, e.servable.fingerprint()));
+            assert_eq!(
+                served,
+                acknowledged.map(|(g, seed)| (g, small_servable(seed).fingerprint())),
+                "power cut at operation {fail_at}"
+            );
+            fs::remove_dir_all(&root).ok();
+            // One more operation: it succeeds only if the power never
+            // went, i.e. every operation of the publishes was covered.
+            if io.sync_dir(&std::env::temp_dir()).is_ok() {
+                break;
+            }
+        }
     }
 
     #[test]
@@ -479,7 +498,7 @@ mod tests {
         let registry = ModelRegistry::new(&root, 4);
         registry.publish("mcf", &small_servable(1)).unwrap();
         // Wreck everything on disk; the in-memory entry must survive.
-        for (_, path) in scan_generations(&root.join("mcf")) {
+        for (_, path) in registry.store("mcf").generations() {
             fs::write(&path, b"garbage").unwrap();
         }
         let entry = registry.refresh("mcf").expect("stale entry retained");

@@ -40,13 +40,13 @@
 //!
 //! # Checkpoints
 //!
-//! Session state rides the same `MDSECKPT`-style machinery as training
+//! Session state rides the same generation store as training
 //! checkpoints: a sealed (`MDSESESS`) payload written through
-//! [`Checkpointer::save_bytes`] — atomic temp → chunk → fsync → rename,
-//! generation rotation, corrupt-fallback on load. A round is
-//! checkpointed *before* its delta is returned, so a kill at any
-//! instant loses at most one unacknowledged round, which the client's
-//! retry re-executes deterministically.
+//! [`GenerationStore::save_bytes`] — durable once it returns, generation
+//! rotation, corrupt-fallback on load. A round is checkpointed *before*
+//! its delta is returned, so a kill or a power loss at any instant loses
+//! at most one unacknowledged round, which the client's retry
+//! re-executes deterministically.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use metadse::checkpoint::{CheckpointConfig, Checkpointer};
+use metadse::checkpoint::{CkptIo, GenerationStore, StdIo};
 use metadse::explorer::{
     front_delta, hypervolume, Explorer, ExplorerConfig, ExplorerState, ParetoEntry,
 };
@@ -693,7 +693,7 @@ struct Session {
     shed: u64,
     proposed: u64,
     last_report: Option<RoundReport>,
-    ckpt: Option<Checkpointer>,
+    ckpt: Option<GenerationStore>,
 }
 
 /// Per-shard session runtime: owns the open sessions, the shared
@@ -709,6 +709,8 @@ pub struct SessionEngine {
     rounds: AtomicU64,
     checkpoints: AtomicU64,
     swap_purged: AtomicU64,
+    /// Session checkpoints' IO ([`StdIo`]; fault injection in tests).
+    io: Arc<dyn CkptIo>,
 }
 
 impl std::fmt::Debug for SessionEngine {
@@ -725,6 +727,7 @@ impl SessionEngine {
     pub fn new(config: SessionEngineConfig) -> SessionEngine {
         SessionEngine {
             config,
+            io: Arc::new(StdIo),
             cache: PointCache::new(),
             sessions: Mutex::new(HashMap::new()),
             opened: AtomicU64::new(0),
@@ -750,11 +753,15 @@ impl SessionEngine {
         self.sessions.lock().unwrap().len()
     }
 
-    fn checkpointer_for(&self, session_id: u64) -> Option<Checkpointer> {
+    fn store_for(&self, session_id: u64) -> Option<GenerationStore> {
         let dir = self.config.dir.as_ref()?;
-        let mut config = CheckpointConfig::new(dir.join(format!("session-{session_id:016x}")));
-        config.keep = self.config.keep;
-        Some(Checkpointer::new(config))
+        Some(GenerationStore::new(
+            dir.join(format!("session-{session_id:016x}")),
+            "ckpt",
+            "ckpt",
+            self.config.keep,
+            self.io.clone(),
+        ))
     }
 
     fn install(&self, session_id: u64, session: Session) -> Arc<Mutex<Session>> {
@@ -769,8 +776,8 @@ impl SessionEngine {
 
     /// Tries to rebuild a session from its newest readable checkpoint.
     fn resume_from_disk(&self, session_id: u64) -> Option<Arc<Mutex<Session>>> {
-        let mut ckpt = self.checkpointer_for(session_id)?;
-        let (state, _generation) = ckpt.load_latest_with(decode_session).ok().flatten()?;
+        let mut ckpt = self.store_for(session_id)?;
+        let (state, _generation) = ckpt.load_latest_with(decode_session)?;
         if state.spec.session_id() != session_id {
             obs::counter("session/resume_spec_mismatches", 1);
             return None;
@@ -838,7 +845,7 @@ impl SessionEngine {
             shed: 0,
             proposed: 0,
             last_report: None,
-            ckpt: self.checkpointer_for(session_id),
+            ckpt: self.store_for(session_id),
         };
         self.install(session_id, session);
         self.opened.fetch_add(1, Ordering::Relaxed);
@@ -1206,5 +1213,88 @@ impl SessionEngine {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ModelRegistry, ServeConfig};
+    use metadse::checkpoint::{FaultIo, FaultMode, FaultSpec};
+    use metadse::predictor::{PredictorConfig, TransformerPredictor};
+    use metadse::ServablePredictor;
+
+    /// Cuts the power at every operation of a session's first two round
+    /// checkpoints in turn. The first one also creates `sessions/` and
+    /// `session-<id>/`, so a round acknowledged on a checkpoint that did
+    /// not sync those directories into their parents would vanish with
+    /// them. After each cut, a fresh engine resumes exactly the rounds
+    /// whose checkpoint was acknowledged.
+    #[test]
+    fn acknowledged_rounds_survive_power_loss() {
+        let dir =
+            std::env::temp_dir().join(format!("metadse-session-power-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let geometry = PredictorConfig {
+            num_params: 21,
+            d_model: 4,
+            heads: 2,
+            depth: 1,
+            d_hidden: 8,
+            head_hidden: 4,
+        };
+        let registry = ModelRegistry::new(dir.join("models"), 2);
+        let model = TransformerPredictor::new(geometry, 7);
+        registry
+            .publish("mcf", &ServablePredictor::capture(&model, None, "ipc"))
+            .unwrap();
+        let server = Server::start(
+            Arc::new(registry),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let spec = SessionSpec {
+            workload: "mcf".into(),
+            seed: 11,
+            initial_samples: 8,
+            refinement_rounds: 2,
+            beam: 2,
+            round_timeout_us: 0,
+        };
+        let config = SessionEngineConfig {
+            dir: Some(dir.join("sessions")),
+            ..SessionEngineConfig::default()
+        };
+        for fail_at in 0.. {
+            let _ = std::fs::remove_dir_all(dir.join("sessions"));
+            let io = Arc::new(FaultIo::new(FaultSpec {
+                fail_at,
+                mode: FaultMode::PowerLoss,
+            }));
+            let mut engine = SessionEngine::new(config.clone());
+            engine.io = io.clone();
+            let id = engine.open(&server, &spec).unwrap().session_id;
+            for round in 1..=2 {
+                engine.step(&server, "mcf", id, round).unwrap();
+            }
+            let acknowledged = engine.checkpoints.load(Ordering::Relaxed);
+
+            let rebooted = SessionEngine::new(config.clone());
+            let info = rebooted.open(&server, &spec).unwrap();
+            assert_eq!(
+                (info.resumed, info.rounds_done),
+                (acknowledged > 0, acknowledged),
+                "power cut at operation {fail_at}"
+            );
+            // One more operation: it succeeds only if the power never
+            // went, i.e. every operation of both checkpoints was covered.
+            if io.sync_dir(&dir).is_ok() {
+                break;
+            }
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -192,7 +192,7 @@ fn plan_outputs_pin_cross_build_digest() {
             "plan digest diverged from the one recorded in {path} — a \
              differently-configured build changed the plan numerics"
         ),
-        _ => metadse_nn::format::atomic_write(&path, digest.as_bytes())
+        _ => metadse_obs::atomic_write(&metadse_obs::StdIo, &path, digest.as_bytes())
             .unwrap_or_else(|e| panic!("could not record plan digest in {path}: {e}")),
     }
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use metadse::checkpoint::{CheckpointConfig, Checkpointer, FaultMode, FaultSpec};
+use metadse::checkpoint::{CheckpointConfig, Checkpointer, CkptIo, FaultIo, FaultMode, FaultSpec};
 use metadse::explorer::{
     apply_front_delta, canonical_front, explore_pareto, ExplorerConfig, ExplorerState, FrontDelta,
     ParetoEntry,
@@ -293,7 +293,7 @@ fn session_checkpoints_fall_back_past_torn_and_crashed_generations() {
 
     // Load walks newest-first and falls back to the intact generation.
     let mut loader = Checkpointer::new(config.clone());
-    let (loaded, generation) = loader.load_latest_with(decode_session).unwrap().unwrap();
+    let (loaded, generation) = loader.load_latest_with(decode_session).unwrap();
     assert_eq!(generation, 1);
     assert_eq!(encode_session(&loaded), encode_session(&good));
 
@@ -306,10 +306,39 @@ fn session_checkpoints_fall_back_past_torn_and_crashed_generations() {
     });
     let mut crash = Checkpointer::new(crash_config);
     assert!(crash.save_bytes(&encode_session(&newer)).is_err());
-    let mut loader = Checkpointer::new(config);
-    let (loaded, generation) = loader.load_latest_with(decode_session).unwrap().unwrap();
+    let mut loader = Checkpointer::new(config.clone());
+    let (loaded, generation) = loader.load_latest_with(decode_session).unwrap();
     assert_eq!(generation, 1);
     assert_eq!(encode_session(&loaded), encode_session(&good));
+
+    // A power loss undoes every rename and directory creation whose
+    // directory was not synced: cut at each operation of two saves in
+    // turn, and the newest save that returned `Ok` must be what loads.
+    let mut newest = (generation, encode_session(&good));
+    for fail_at in 0.. {
+        let io = Arc::new(FaultIo::new(FaultSpec {
+            fail_at,
+            mode: FaultMode::PowerLoss,
+        }));
+        let mut power = Checkpointer::with_io(config.clone(), io.clone());
+        for state in [&newer, &good] {
+            let bytes = encode_session(state);
+            if let Ok(generation) = power.save_bytes(&bytes) {
+                newest = (generation, bytes);
+            }
+        }
+        let mut loader = Checkpointer::new(config.clone());
+        let (loaded, generation) = loader.load_latest_with(decode_session).unwrap();
+        assert_eq!(
+            (generation, encode_session(&loaded)),
+            newest,
+            "power cut at operation {fail_at}"
+        );
+        // One more operation: it succeeds only if the power never went.
+        if io.sync_dir(&dir).is_ok() {
+            break;
+        }
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
