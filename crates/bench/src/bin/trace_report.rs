@@ -218,13 +218,14 @@ fn main() {
             human_ns(s_t4f.as_nanos()),
         ],
     ]);
-    report::kv("worker model rebuilds during forced runs", rebuilds);
+    report::kv("worker predictor rebuilds during the t4 runs", rebuilds);
     report::line(format!(
-        "attribution: the PR1 anomaly (t4 slower than t1) came from forcing 4 \
-         workers onto {} hardware thread(s) — spawn + join + time-slicing is \
-         pure overhead when no cores are free — and from each spawned worker \
+        "attribution: where t4 runs slower than t1, the cost is forcing more \
+         workers than the {} hardware thread(s) — spawn + join + time-slicing \
+         is pure overhead when no cores are free — plus each worker \
          rebuilding a thread-local predictor from the parameter snapshot \
-         ({rebuilds} rebuilds in the forced runs above). The default config \
+         before its first task ({rebuilds} rebuilds across the t4 runs above: \
+         one per worker per sweep, not one per task). The default config \
          clamps workers to the machine, and the caller works as worker 0, so \
          the default t4 column uses at most one worker per hardware thread.",
         metadse_parallel::available_parallelism(),

@@ -26,18 +26,20 @@
 
 use metadse_obs as obs;
 use metadse_obs::report;
-use metadse_parallel::ParallelConfig;
+use metadse_parallel::{run_two_stage_inline, ParallelConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use metadse_nn::autograd::grad;
 use metadse_nn::layers::{self, Module, Param};
 use metadse_nn::optim::{Adam, Optimizer};
-use metadse_nn::{Elem, Tensor};
+use metadse_nn::tensor::fused::{self, FusedModeGuard};
+use metadse_nn::tensor::pool::{self, PoolModeGuard};
+use metadse_nn::{BackendKind, BackendModeGuard, Elem, Tensor};
 use metadse_workloads::{Dataset, Metric, Task, TaskSampler};
 
 use crate::checkpoint::{CheckpointConfig, Checkpointer, TrainState};
-use crate::predictor::TransformerPredictor;
+use crate::predictor::{PredictorConfig, TransformerPredictor};
 
 /// Hyperparameters of the MAML pre-training stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,21 +181,11 @@ pub fn inner_adapt(
 }
 
 /// Evaluates `f(model, i)` for `i in 0..n`, returning results in index
-/// order.
+/// order: the one-stage case of [`fan_out_staged`].
 ///
-/// With one effective thread this runs inline on `model` itself — the
-/// exact serial path, with no snapshotting and no spawned threads.
-/// Otherwise each worker — the calling thread is worker 0 — rebuilds a
-/// thread-local predictor from a plain-buffer snapshot of `model`'s
-/// parameters (the `Rc`-based autograd graph never crosses threads), so
-/// `f` must be a pure function of the model values and the index;
-/// index-ordered results make any subsequent reduction bit-identical to
-/// the serial run.
-///
-/// Before fanning out, the calling thread's pooled buffers are freed
-/// outright: its own task then reuses that memory from its allocator,
-/// rather than leaving it idle in the pool while the other workers' tasks
-/// grow memory of their own.
+/// `f` must leave the model's values as it found them (every caller
+/// restores what it adapts), because a worker hands its predictor from
+/// one index to the next.
 pub(crate) fn fan_out_tasks<T, F>(
     model: &TransformerPredictor,
     parallel: &ParallelConfig,
@@ -201,24 +193,203 @@ pub(crate) fn fan_out_tasks<T, F>(
     f: F,
 ) -> Vec<T>
 where
-    T: Send,
+    T: Send + Sync,
     F: Fn(&TransformerPredictor, usize) -> T + Sync,
 {
-    if parallel.workers_for(n) <= 1 {
-        return (0..n).map(|i| f(model, i)).collect();
+    fan_out_staged(
+        model,
+        parallel,
+        n,
+        |_| (),
+        |m, _, i| (f(m, i), 0),
+        |_, _, _, _, _| -> () { unreachable!("one-stage fan-outs release no units") },
+    )
+    .into_iter()
+    .map(|(value, _)| value)
+    .collect()
+}
+
+/// A two-stage fan-out over `items` that computes with `model`
+/// ([`ParallelConfig::run_two_stage`]): `first(m, state, i)` returns
+/// `(a, units)`, and `second(m, state, i, &a, u)` runs for each
+/// `u in 0..units` on whichever worker is idle once item `i`'s first
+/// stage has returned. Results come back per item, units in order.
+///
+/// With one effective worker every stage runs inline on `model` itself:
+/// no snapshot, no spawned thread. Otherwise each worker — the calling
+/// thread is worker 0 — rebuilds a thread-local predictor once from a
+/// plain-buffer snapshot of `model` (the `Rc`-based autograd graph never
+/// crosses threads) and keeps it for every stage it runs: the snapshot
+/// carries the parameter values, the installed attention masks (values,
+/// learnability and the slot the layers share) and the calling thread's
+/// tensor modes, which the worker holds for its whole run. `prepare`
+/// builds the worker's own state from its predictor before its first
+/// stage. The stages must be pure functions of the model values, the
+/// indices and the first-stage result, so results are bit-identical at
+/// every worker count.
+///
+/// Before fanning out, the calling thread's pooled buffers are freed
+/// outright: its own work then reuses that memory from its allocator,
+/// rather than leaving it idle in the pool while the other workers grow
+/// memory of their own.
+pub(crate) fn fan_out_staged<S, A, B>(
+    model: &TransformerPredictor,
+    parallel: &ParallelConfig,
+    items: usize,
+    prepare: impl Fn(&TransformerPredictor) -> S + Sync,
+    first: impl Fn(&TransformerPredictor, &mut S, usize) -> (A, usize) + Sync,
+    second: impl Fn(&TransformerPredictor, &mut S, usize, &A, usize) -> B + Sync,
+) -> Vec<(A, Vec<B>)>
+where
+    A: Send + Sync,
+    B: Send,
+{
+    if parallel.workers_for(items) <= 1 {
+        return run_two_stage_inline(
+            items,
+            &mut prepare(model),
+            |state, i| first(model, state, i),
+            |state, i, a, u| second(model, state, i, a, u),
+        );
     }
-    let snapshot = model.snapshot_values();
-    let geometry = *model.config();
-    metadse_nn::tensor::pool::release();
-    parallel.run_indexed(n, |i| {
-        // Each index pays a full predictor rebuild from the snapshot — the
-        // dominant fan-out overhead on small task counts (see the
-        // maml/worker_rebuilds counter and the trace_report attribution).
+    let snapshot = WorkerSnapshot::capture(model);
+    pool::release();
+    parallel.run_two_stage(
+        items,
+        |_| {
+            let (model, guards) = snapshot.rebuild();
+            let state = prepare(&model);
+            (model, state, guards)
+        },
+        |(model, state, _), i| first(model, state, i),
+        |(model, state, _), i, a, u| second(model, state, i, a, u),
+    )
+}
+
+/// The tensor modes of the thread that starts a fan-out. Their guards
+/// are thread-local, so without this a worker would run the process
+/// defaults.
+#[derive(Clone, Copy)]
+struct TensorModes {
+    backend: BackendKind,
+    fused: bool,
+    pool: bool,
+}
+
+/// The guards that hold [`TensorModes`] on a worker; dropping them
+/// restores that thread's own modes.
+type ModeGuards = (BackendModeGuard, FusedModeGuard, PoolModeGuard);
+
+impl TensorModes {
+    fn current() -> TensorModes {
+        TensorModes {
+            backend: metadse_nn::backend::kind(),
+            fused: fused::is_enabled(),
+            pool: pool::is_enabled(),
+        }
+    }
+
+    fn enter(self) -> ModeGuards {
+        (
+            BackendModeGuard::set(self.backend),
+            FusedModeGuard::set(self.fused),
+            PoolModeGuard::set(self.pool),
+        )
+    }
+}
+
+/// A predictor captured as plain `Send` buffers, with the tensor modes of
+/// the capturing thread: everything a worker needs to rebuild a predictor
+/// that computes exactly what the original does.
+struct WorkerSnapshot {
+    geometry: PredictorConfig,
+    /// Parameter values in [`Module::params`] order (a learnable mask
+    /// included, once).
+    values: Vec<Vec<Elem>>,
+    /// Each distinct installed mask.
+    masks: Vec<MaskBuffer>,
+    /// Per encoder layer, the index into `masks` of the mask it holds.
+    layer_masks: Vec<Option<usize>>,
+    modes: TensorModes,
+}
+
+/// An attention mask as plain buffers.
+struct MaskBuffer {
+    name: String,
+    values: Vec<Elem>,
+    shape: Vec<usize>,
+    learnable: bool,
+}
+
+impl WorkerSnapshot {
+    fn capture(model: &TransformerPredictor) -> WorkerSnapshot {
+        let mut distinct: Vec<Param> = Vec::new();
+        let layer_masks = model
+            .masks()
+            .into_iter()
+            .map(|mask| {
+                mask.map(|mask| {
+                    distinct
+                        .iter()
+                        .position(|seen| seen.shares_slot(&mask))
+                        .unwrap_or_else(|| {
+                            distinct.push(mask);
+                            distinct.len() - 1
+                        })
+                })
+            })
+            .collect();
+        let masks = distinct
+            .iter()
+            .map(|mask| {
+                let t = mask.get();
+                MaskBuffer {
+                    name: mask.name().to_string(),
+                    values: t.to_vec(),
+                    shape: t.shape().to_vec(),
+                    learnable: t.requires_grad(),
+                }
+            })
+            .collect();
+        WorkerSnapshot {
+            geometry: *model.config(),
+            values: model.snapshot_values(),
+            masks,
+            layer_masks,
+            modes: TensorModes::current(),
+        }
+    }
+
+    /// Enters the captured modes on this thread (until the returned
+    /// guards drop) and rebuilds the predictor under them: masks first,
+    /// so the parameter list (which holds a learnable mask) lines up with
+    /// the captured values.
+    fn rebuild(&self) -> (TransformerPredictor, ModeGuards) {
+        let guards = self.modes.enter();
         obs::counter("maml/worker_rebuilds", 1);
-        let worker = TransformerPredictor::new(geometry, 0);
-        worker.load_values(&snapshot);
-        f(&worker, i)
-    })
+        let model = TransformerPredictor::new(self.geometry, 0);
+        let masks: Vec<Param> = self
+            .masks
+            .iter()
+            .map(|m| {
+                let values = m.values.clone();
+                let tensor = if m.learnable {
+                    Tensor::param_from_vec(values, &m.shape)
+                } else {
+                    Tensor::from_vec(values, &m.shape)
+                };
+                Param::new(m.name.clone(), tensor)
+            })
+            .collect();
+        let layer_masks: Vec<Option<Param>> = self
+            .layer_masks
+            .iter()
+            .map(|k| k.map(|k| masks[k].clone()))
+            .collect();
+        model.set_masks(&layer_masks);
+        model.load_values(&self.values);
+        (model, guards)
+    }
 }
 
 /// One meta-batch member: inner-adapts `model` on the task, differentiates

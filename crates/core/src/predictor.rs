@@ -129,6 +129,34 @@ impl TransformerPredictor {
         }
     }
 
+    /// The attention mask installed on each encoder layer, in layer order
+    /// (handles: layers sharing one mask share its slot).
+    pub fn masks(&self) -> Vec<Option<Param>> {
+        self.encoder
+            .layers()
+            .iter()
+            .map(|layer| layer.attention().mask())
+            .collect()
+    }
+
+    /// Installs `masks[l]` on encoder layer `l` and clears the layers
+    /// given `None`: reinstates a set captured by
+    /// [`TransformerPredictor::masks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` does not hold one entry per encoder layer.
+    pub fn set_masks(&self, masks: &[Option<Param>]) {
+        let layers = self.encoder.layers();
+        assert_eq!(layers.len(), masks.len(), "one mask entry per layer");
+        for (layer, mask) in layers.iter().zip(masks) {
+            match mask {
+                Some(mask) => layer.attention().set_mask(mask.clone()),
+                None => layer.attention().clear_mask(),
+            }
+        }
+    }
+
     /// Enables attention recording on the last encoder layer (the layer
     /// WAM statistics are extracted from, per Fig. 4).
     pub fn set_record_attention(&self, record: bool) {

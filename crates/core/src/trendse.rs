@@ -21,6 +21,7 @@ use metadse_nn::autograd::grad;
 use metadse_nn::layers::Module;
 use metadse_nn::optim::{Adam, Optimizer};
 use metadse_nn::Elem;
+use metadse_parallel::ParallelConfig;
 use metadse_workloads::{Dataset, Metric};
 
 use crate::predictor::{PredictorConfig, TransformerPredictor};
@@ -108,20 +109,51 @@ impl TrEnDse {
     }
 
     /// Adapts to a target task and predicts its query points: similarity
-    /// selection → pooling → ensemble fit → average prediction.
+    /// selection → pooling → ensemble fit → average prediction. The fits
+    /// use the machine's workers ([`ParallelConfig::default`]; see
+    /// [`TrEnDse::adapt_and_predict_with`]).
     pub fn adapt_and_predict(
         &self,
         support_x: &[Vec<Elem>],
         support_y: &[Elem],
         query_x: &[Vec<Elem>],
     ) -> Vec<Elem> {
+        self.adapt_and_predict_with(support_x, support_y, query_x, &ParallelConfig::default())
+    }
+
+    /// [`TrEnDse::adapt_and_predict`] with the ensemble fit under
+    /// `parallel`. The boosted trees fit one after another, so the GBRT
+    /// takes one worker and fits beside the forest, whose trees share the
+    /// remaining workers; with one worker everything fits inline. Every
+    /// fit is deterministic, so the ensemble is the same at any thread
+    /// count.
+    pub fn adapt_and_predict_with(
+        &self,
+        support_x: &[Vec<Elem>],
+        support_y: &[Elem],
+        query_x: &[Vec<Elem>],
+        parallel: &ParallelConfig,
+    ) -> Vec<Elem> {
         let (x, y) = self.pooled(support_x, support_y);
-        let mut forest = RandomForest::new(40, 10, 2, self.config.seed);
-        let mut gbrt = GradientBoosting::new(80, 0.1, 3, 2);
-        let mut ridge = RidgeRegression::new(1e-3);
-        forest.fit(&x, &y);
-        gbrt.fit(&x, &y);
-        ridge.fit(&x, &y);
+        let forest_parallel = ParallelConfig {
+            threads: Some(parallel.workers_for(usize::MAX).saturating_sub(1).max(1)),
+            ..*parallel
+        };
+        let ((forest, ridge), gbrt) = parallel.join(
+            || {
+                let mut forest =
+                    RandomForest::new(40, 10, 2, self.config.seed).with_parallel(forest_parallel);
+                let mut ridge = RidgeRegression::new(1e-3);
+                forest.fit(&x, &y);
+                ridge.fit(&x, &y);
+                (forest, ridge)
+            },
+            || {
+                let mut gbrt = GradientBoosting::new(80, 0.1, 3, 2);
+                gbrt.fit(&x, &y);
+                gbrt
+            },
+        );
         query_x
             .iter()
             .map(|q| (forest.predict_one(q) + gbrt.predict_one(q) + ridge.predict_one(q)) / 3.0)

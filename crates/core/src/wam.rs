@@ -15,9 +15,9 @@ use metadse_nn::optim::CosineAnnealing;
 use metadse_nn::{Elem, Tensor};
 use metadse_obs as obs;
 use metadse_parallel::ParallelConfig;
-use metadse_workloads::{Dataset, Task};
+use metadse_workloads::{Dataset, Sample, Task};
 
-use crate::maml::fan_out_tasks;
+use crate::maml::{fan_out_staged, fan_out_tasks};
 use crate::predictor::TransformerPredictor;
 
 /// Mask-generation hyperparameters.
@@ -95,6 +95,21 @@ impl AttentionStats {
         }
     }
 
+    /// Adds the observations recorded in `other`. Counts are whole
+    /// numbers, so merging per-batch statistics in any grouping gives
+    /// exactly the counts of observing every batch into one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the token counts differ.
+    pub fn merge(&mut self, other: &AttentionStats) {
+        assert_eq!(self.seq, other.seq, "token count mismatch");
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.observations += other.observations;
+    }
+
     /// Number of (batch × head) observations recorded.
     pub fn observations(&self) -> usize {
         self.observations
@@ -138,26 +153,57 @@ impl AttentionStats {
 /// source datasets with recording enabled (the pre-training side of
 /// Fig. 4), then builds the workload-adaptive mask as a learnable
 /// parameter.
+///
+/// Each dataset is cut into `batch_size`-row batches, and the batches fan
+/// out across the machine's workers ([`ParallelConfig::default`]; see
+/// [`generate_mask_with`]).
 pub fn generate_mask(
     model: &TransformerPredictor,
     sources: &[Dataset],
     config: &WamConfig,
     batch_size: usize,
 ) -> Param {
+    generate_mask_with(
+        model,
+        sources,
+        config,
+        batch_size,
+        &ParallelConfig::default(),
+    )
+}
+
+/// [`generate_mask`] with its batches fanned out under `parallel`. Each
+/// batch's top-k counts are whole numbers, so summing them in batch order
+/// gives the serial statistics exactly: the mask is the same at every
+/// thread count.
+pub fn generate_mask_with(
+    model: &TransformerPredictor,
+    sources: &[Dataset],
+    config: &WamConfig,
+    batch_size: usize,
+    parallel: &ParallelConfig,
+) -> Param {
     let _span = obs::span("wam/generate_mask");
     let seq = model.config().num_params;
-    let mut stats = AttentionStats::new(seq);
-    model.set_record_attention(true);
-    for dataset in sources {
-        for chunk in dataset.samples().chunks(batch_size.max(1)) {
-            let batch: Vec<Vec<Elem>> = chunk.iter().map(|s| s.features.clone()).collect();
-            no_grad(|| model.forward_batch(&batch));
-            if let Some(attention) = model.last_attention() {
-                stats.observe(&attention, config.top_k);
-            }
+    let batches: Vec<&[Sample]> = sources
+        .iter()
+        .flat_map(|dataset| dataset.samples().chunks(batch_size.max(1)))
+        .collect();
+    let partial = fan_out_tasks(model, parallel, batches.len(), |m, i| {
+        let batch: Vec<Vec<Elem>> = batches[i].iter().map(|s| s.features.clone()).collect();
+        m.set_record_attention(true);
+        no_grad(|| m.forward_batch(&batch));
+        m.set_record_attention(false);
+        let mut stats = AttentionStats::new(seq);
+        if let Some(attention) = m.last_attention() {
+            stats.observe(&attention, config.top_k);
         }
+        stats
+    });
+    let mut stats = AttentionStats::new(seq);
+    for part in &partial {
+        stats.merge(part);
     }
-    model.set_record_attention(false);
     obs::with(|| {
         // Shannon entropy of the normalized interaction-frequency matrix:
         // high = attention spread evenly (mask filters little signal),
@@ -257,42 +303,46 @@ pub fn adapt(
     theta
 }
 
+/// Query rows per prediction unit of an adaptation sweep. Every sweep,
+/// serial or parallel, and [`adapt_and_predict`] predict a task's query
+/// set in these chunks, so the thread count never changes which forward
+/// passes run. It matches the batch size the pipelines pass
+/// [`generate_mask`].
+pub const QUERY_CHUNK_ROWS: usize = 64;
+
 /// Adapts on a task's support set (optionally through a WAM mask) and
-/// returns predictions on its query set, restoring the model afterwards.
+/// returns predictions on its query set, restoring the model (values and
+/// installed masks) afterwards.
 pub fn adapt_and_predict(
     model: &TransformerPredictor,
     task: &Task,
     mask: Option<&Param>,
     config: &AdaptConfig,
 ) -> Vec<Elem> {
-    if let Some(mask) = mask {
-        // Fresh learnable copy per task: each target task adapts its own
-        // mask starting from the shared architectural prior.
-        let fresh = Param::new(
-            "wam.mask",
-            Tensor::param_from_vec(mask.get().to_vec(), &mask.shape()),
-        );
-        model.install_mask(fresh);
-    }
-    let params = model.params();
-    let theta = adapt(model, &task.support_x, &task.support_y, config);
-    let predictions = model.predict(&task.query_x);
-    layers::restore(&params, &theta);
-    if mask.is_some() {
-        model.clear_masks();
-    }
-    metadse_nn::tensor::pool::reclaim();
+    let mut predictions = sweep(
+        model,
+        std::slice::from_ref(task),
+        mask,
+        config,
+        &ParallelConfig::serial(),
+    );
     predictions
+        .pop()
+        .expect("one task in, one prediction set out")
 }
 
-/// Runs [`adapt_and_predict`] over many tasks, fanning the per-task
-/// adaptation across threads.
+/// Runs [`adapt_and_predict`] over many tasks, fanning the work across
+/// threads in two stages: the first adapts a task, the second predicts
+/// one [`QUERY_CHUNK_ROWS`] chunk of an adapted task's query rows on
+/// whichever worker is idle, so a core that runs out of tasks to adapt
+/// predicts the others' queries instead of idling.
 ///
-/// Each task adapts independently from the same pre-trained parameters and
-/// the same mask prior, so workers rebuild a thread-local predictor from a
-/// plain-buffer snapshot and a fresh mask `Param` from the mask's values —
-/// predictions come back in task order and are bit-identical to the serial
-/// sweep (which runs inline when one thread is effective).
+/// Each task adapts independently from the same pre-trained parameters
+/// and the same mask prior; a worker adapts on its own predictor rebuilt
+/// from a plain-buffer snapshot, captures the adapted values, and loads
+/// another task's captured values when it predicts that task's chunks.
+/// Predictions come back in task order and are bit-identical to the
+/// serial sweep (which runs inline when one thread is effective).
 pub fn adapt_sweep(
     model: &TransformerPredictor,
     tasks: &[Task],
@@ -302,16 +352,80 @@ pub fn adapt_sweep(
 ) -> Vec<Vec<Elem>> {
     let _span = obs::span("wam/adapt_sweep");
     obs::counter("wam/adapt_tasks", tasks.len() as u64);
-    let mask_buffer: Option<(Vec<Elem>, Vec<usize>)> = mask.map(|m| (m.get().to_vec(), m.shape()));
-    fan_out_tasks(model, parallel, tasks.len(), |m, i| {
-        // adapt_and_predict itself copies the mask into a fresh per-task
-        // Param, so a worker-local reconstruction is value-identical to
-        // passing the caller's mask directly.
-        let local_mask = mask_buffer
-            .as_ref()
-            .map(|(v, s)| Param::new("wam.mask", Tensor::param_from_vec(v.clone(), s)));
-        adapt_and_predict(m, &tasks[i], local_mask.as_ref(), config)
-    })
+    sweep(model, tasks, mask, config, parallel)
+}
+
+/// A sweep worker's view of its predictor.
+struct SweepWorker {
+    /// The parameter slots, a fresh learnable mask among them when the
+    /// sweep has a mask prior.
+    params: Vec<Param>,
+    /// The pre-trained values (and the mask prior) to adapt each task
+    /// from.
+    theta: Vec<Tensor>,
+    /// The task whose adapted values the slots hold, if any.
+    holds: Option<usize>,
+}
+
+fn sweep(
+    model: &TransformerPredictor,
+    tasks: &[Task],
+    mask: Option<&Param>,
+    config: &AdaptConfig,
+    parallel: &ParallelConfig,
+) -> Vec<Vec<Elem>> {
+    let caller_masks = model.masks();
+    let caller_values = layers::snapshot(&model.params());
+    let prior: Option<(Vec<Elem>, Vec<usize>)> = mask.map(|m| (m.get().to_vec(), m.shape()));
+    let adapted = fan_out_staged(
+        model,
+        parallel,
+        tasks.len(),
+        |m| {
+            // Each target task adapts its own learnable copy of the shared
+            // architectural prior: the copy's slot is reset with the
+            // weights before every task.
+            if let Some((values, shape)) = &prior {
+                m.install_mask(Param::new(
+                    "wam.mask",
+                    Tensor::param_from_vec(values.clone(), shape),
+                ));
+            }
+            let params = m.params();
+            SweepWorker {
+                theta: layers::snapshot(&params),
+                params,
+                holds: None,
+            }
+        },
+        |m, w: &mut SweepWorker, i| {
+            if w.holds.take().is_some() {
+                layers::restore(&w.params, &w.theta);
+            }
+            let task = &tasks[i];
+            adapt(m, &task.support_x, &task.support_y, config);
+            w.holds = Some(i);
+            let values = m.snapshot_values();
+            metadse_nn::tensor::pool::reclaim();
+            (values, task.query_x.len().div_ceil(QUERY_CHUNK_ROWS))
+        },
+        |m, w, i, values, chunk| {
+            if w.holds != Some(i) {
+                m.load_values(values);
+                w.holds = Some(i);
+            }
+            let rows = tasks[i].query_x.chunks(QUERY_CHUNK_ROWS).nth(chunk);
+            let predictions = m.predict(rows.expect("chunk within the query set"));
+            metadse_nn::tensor::pool::reclaim();
+            predictions
+        },
+    );
+    model.set_masks(&caller_masks);
+    layers::restore(&model.params(), &caller_values);
+    adapted
+        .into_iter()
+        .map(|(_, chunks)| chunks.concat())
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,13 +3,17 @@
 //! tasks are sampled serially, each task is a pure function of the
 //! meta-parameter snapshot, and reductions run in task order.
 
+use metadse::experiment::{Environment, Scale};
 use metadse::maml::{pretrain, MamlConfig};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
-use metadse_nn::layers::Module;
+use metadse::trendse::TrEnDse;
+use metadse::wam::{self, AdaptConfig, WamConfig};
+use metadse_nn::layers::{self, Module, Param};
 use metadse_nn::tensor::fused::FusedModeGuard;
 use metadse_nn::tensor::pool::PoolModeGuard;
+use metadse_nn::{BackendKind, BackendModeGuard, Tensor};
 use metadse_parallel::ParallelConfig;
-use metadse_workloads::{Dataset, Metric, Sample};
+use metadse_workloads::{Dataset, Metric, Sample, Task, TaskSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,6 +120,258 @@ fn pool_and_fusion_do_not_change_pretrain_numerics() {
         fast, plain,
         "pool + fused kernels must be bit-identical to the primitive path"
     );
+}
+
+/// A configuration that really runs `threads` workers, even on a
+/// single-core host.
+fn forced(threads: usize) -> ParallelConfig {
+    ParallelConfig::with_threads(threads).oversubscribed()
+}
+
+/// A two-layer predictor, so an installed mask is shared by two layers.
+fn two_layer_model(dim: usize) -> TransformerPredictor {
+    TransformerPredictor::new(
+        PredictorConfig {
+            depth: 2,
+            ..*tiny_model(dim).config()
+        },
+        8,
+    )
+}
+
+/// Four toy tasks on one synthetic workload.
+fn toy_tasks(dim: usize, query: usize) -> Vec<Task> {
+    let ds = synthetic_dataset(80, dim, 240, 0.3);
+    let sampler = TaskSampler::new(6, query);
+    let mut rng = StdRng::seed_from_u64(81);
+    (0..4)
+        .map(|_| sampler.sample(&ds, Metric::Ipc, &mut rng))
+        .collect()
+}
+
+fn short_adapt() -> AdaptConfig {
+    AdaptConfig {
+        steps: 3,
+        ..AdaptConfig::default()
+    }
+}
+
+/// A graded `[dim, dim]` logit bias with a zero diagonal.
+fn mask_values(dim: usize) -> Vec<f64> {
+    (0..dim * dim)
+        .map(|i| {
+            if i / dim == i % dim {
+                0.0
+            } else {
+                -0.2 * (i % 7) as f64
+            }
+        })
+        .collect()
+}
+
+/// Sweep workers must compute with the caller's installed masks, whether
+/// frozen (outside `params()`) or learnable (inside it): a worker that
+/// dropped them ran unmasked, or failed to load the caller's parameter
+/// list. The caller's masks are back in place, with their values, after
+/// every sweep.
+#[test]
+fn sweep_workers_keep_the_callers_masks() {
+    let dim = 6;
+    let tasks = toy_tasks(dim, 10);
+    let frozen = Param::new("frozen", Tensor::from_vec(mask_values(dim), &[dim, dim]));
+    let learnable = Param::new(
+        "wam.mask",
+        Tensor::param_from_vec(mask_values(dim), &[dim, dim]),
+    );
+    for installed in [frozen, learnable] {
+        let model = two_layer_model(dim);
+        model.install_mask(installed.clone());
+        let unmasked = {
+            let plain = two_layer_model(dim);
+            wam::adapt_sweep(
+                &plain,
+                &tasks,
+                None,
+                &short_adapt(),
+                &ParallelConfig::serial(),
+            )
+        };
+        let serial = wam::adapt_sweep(
+            &model,
+            &tasks,
+            None,
+            &short_adapt(),
+            &ParallelConfig::serial(),
+        );
+        assert_ne!(
+            serial,
+            unmasked,
+            "{}: the mask must matter",
+            installed.name()
+        );
+        for threads in [2, 3] {
+            let parallel = wam::adapt_sweep(&model, &tasks, None, &short_adapt(), &forced(threads));
+            assert_eq!(
+                serial,
+                parallel,
+                "{} at {threads} threads",
+                installed.name()
+            );
+        }
+        // A sweep with its own prior replaces the installed mask only
+        // while it runs.
+        let prior = Param::new(
+            "wam.mask",
+            Tensor::param_from_vec(vec![0.0; dim * dim], &[dim, dim]),
+        );
+        assert_eq!(
+            wam::adapt_sweep(
+                &model,
+                &tasks,
+                Some(&prior),
+                &short_adapt(),
+                &ParallelConfig::serial()
+            ),
+            wam::adapt_sweep(&model, &tasks, Some(&prior), &short_adapt(), &forced(3)),
+        );
+        for mask in model.masks() {
+            let mask = mask.expect("mask reinstated on every layer");
+            assert!(mask.shares_slot(&installed));
+            assert_eq!(mask.get().to_vec(), mask_values(dim));
+        }
+    }
+}
+
+/// The backend, fused-kernel and pool guards are thread-local; fan-out
+/// workers must run under the caller's, so serial and forced-parallel
+/// sweeps and masks agree bit-for-bit under any of them.
+#[test]
+fn fan_outs_carry_the_callers_tensor_modes() {
+    let dim = 6;
+    let model = two_layer_model(dim);
+    let tasks = toy_tasks(dim, 10);
+    let sources = vec![
+        synthetic_dataset(82, dim, 48, 0.1),
+        synthetic_dataset(83, dim, 40, 0.6),
+    ];
+    let run = |parallel: &ParallelConfig| {
+        let mask = wam::generate_mask_with(&model, &sources, &WamConfig::default(), 16, parallel);
+        let swept = wam::adapt_sweep(&model, &tasks, Some(&mask), &short_adapt(), parallel);
+        (mask.get().to_vec(), swept)
+    };
+    {
+        let _scalar = BackendModeGuard::set(BackendKind::Scalar);
+        assert_eq!(
+            run(&ParallelConfig::serial()),
+            run(&forced(3)),
+            "scalar backend"
+        );
+    }
+    {
+        let _primitive = FusedModeGuard::set(false);
+        assert_eq!(
+            run(&ParallelConfig::serial()),
+            run(&forced(3)),
+            "fused kernels off"
+        );
+    }
+    {
+        let _unpooled = PoolModeGuard::set(false);
+        assert_eq!(run(&ParallelConfig::serial()), run(&forced(3)), "pool off");
+    }
+}
+
+/// The paper split simulated at `Scale::quick()`, a predictor of the
+/// quick geometry, and three tasks whose 150-row query sets span three
+/// sweep chunks (64 + 64 + 22 rows).
+struct QuickFixture {
+    scale: Scale,
+    env: Environment,
+    model: TransformerPredictor,
+    tasks: Vec<Task>,
+}
+
+fn quick_fixture() -> QuickFixture {
+    let scale = Scale::quick();
+    let env = Environment::build(&scale, scale.seed);
+    let model = TransformerPredictor::new(scale.predictor, scale.seed);
+    let sampler = TaskSampler::new(scale.eval_support, 150);
+    let mut rng = StdRng::seed_from_u64(90);
+    let target = env.dataset(env.split.test[0]);
+    let tasks = (0..3)
+        .map(|_| sampler.sample(target, Metric::Ipc, &mut rng))
+        .collect();
+    QuickFixture {
+        scale,
+        env,
+        model,
+        tasks,
+    }
+}
+
+#[test]
+fn adaptation_stages_are_bit_identical_across_thread_counts() {
+    let fx = quick_fixture();
+    assert!(fx.tasks[0].query_x.len() > 2 * wam::QUERY_CHUNK_ROWS);
+    let sources: Vec<Dataset> = fx.env.train_datasets().into_iter().take(3).collect();
+    let adapt = short_adapt();
+    let trendse = TrEnDse::new(
+        fx.env.train_datasets(),
+        Metric::Ipc,
+        fx.scale.trendse.clone(),
+    );
+    let run = |parallel: &ParallelConfig| {
+        let mask = wam::generate_mask_with(&fx.model, &sources, &fx.scale.wam, 64, parallel);
+        let plain = wam::adapt_sweep(&fx.model, &fx.tasks, None, &adapt, parallel);
+        let masked = wam::adapt_sweep(&fx.model, &fx.tasks, Some(&mask), &adapt, parallel);
+        let task = &fx.tasks[0];
+        let ensemble = trendse.adapt_and_predict_with(
+            &task.support_x,
+            &task.support_y,
+            &task.query_x,
+            parallel,
+        );
+        (mask.get().to_vec(), plain, masked, ensemble)
+    };
+    let serial = run(&ParallelConfig::serial());
+    for threads in [2, 3] {
+        assert_eq!(serial, run(&forced(threads)), "{threads} threads");
+    }
+    // The default-configured entry points agree with the serial runs.
+    let mask = wam::generate_mask(&fx.model, &sources, &fx.scale.wam, 64);
+    assert_eq!(mask.get().to_vec(), serial.0);
+    let task = &fx.tasks[0];
+    assert_eq!(
+        trendse.adapt_and_predict(&task.support_x, &task.support_y, &task.query_x),
+        serial.3
+    );
+}
+
+/// Predicting a task's query rows in sweep chunks gives the bits of one
+/// whole-batch predict after the same adaptation.
+#[test]
+fn chunked_adapt_and_predict_equals_a_whole_batch_predict() {
+    let fx = quick_fixture();
+    let sources: Vec<Dataset> = fx.env.train_datasets().into_iter().take(2).collect();
+    let mask = wam::generate_mask(&fx.model, &sources, &fx.scale.wam, 64);
+    let adapt = short_adapt();
+    for task in &fx.tasks {
+        for prior in [None, Some(&mask)] {
+            let chunked = wam::adapt_and_predict(&fx.model, task, prior, &adapt);
+            if let Some(prior) = prior {
+                fx.model.install_mask(Param::new(
+                    "wam.mask",
+                    Tensor::param_from_vec(prior.get().to_vec(), &prior.shape()),
+                ));
+            }
+            let params = fx.model.params();
+            let theta = wam::adapt(&fx.model, &task.support_x, &task.support_y, &adapt);
+            let whole = fx.model.predict(&task.query_x);
+            layers::restore(&params, &theta);
+            fx.model.clear_masks();
+            assert_eq!(chunked, whole);
+        }
+    }
 }
 
 /// FNV-1a over the exact bit patterns of the run's outputs: any

@@ -96,6 +96,12 @@ impl Param {
     pub fn numel(&self) -> usize {
         self.slot.borrow().numel()
     }
+
+    /// Whether `self` and `other` are handles to the same slot (a set on
+    /// one is visible through the other).
+    pub fn shares_slot(&self, other: &Param) -> bool {
+        Rc::ptr_eq(&self.slot, &other.slot)
+    }
 }
 
 impl fmt::Debug for Param {
@@ -153,6 +159,9 @@ mod tests {
         let alias = p.clone();
         p.set(Tensor::param_from_vec(vec![3.0, 4.0], &[2]));
         assert_eq!(alias.get().to_vec(), vec![3.0, 4.0]);
+        assert!(p.shares_slot(&alias));
+        let twin = Param::new("w", Tensor::param_from_vec(vec![3.0, 4.0], &[2]));
+        assert!(!p.shares_slot(&twin));
     }
 
     #[test]
