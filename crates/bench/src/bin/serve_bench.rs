@@ -49,17 +49,15 @@ use metadse_serve::{
 /// Name of the row the `--smoke` gate checks.
 const SMOKE_ROW: &str = "serve/batch32_p99";
 
-/// Paper-geometry plan-path row the `--smoke` gate also checks.
+/// Paper-geometry row the `--smoke` gate also checks.
 const PLAN_SMOKE_ROW: &str = "serve/paper_batch32_p99";
 
 /// Session-round latency row the `--smoke` gate also checks.
 const SESSION_SMOKE_ROW: &str = "serve/session_round_p99";
 
 /// A server wired for benchmarking: fresh scratch registry publishing
-/// one generation of `workload` with the given geometry. `plan` selects
-/// compiled-plan execution vs the layer-stack forward (the `…@stack`
-/// A/B rows), mirroring PR 6's `…@scalar` backend convention.
-fn bench_server(workload: &str, geom: PredictorConfig, max_batch: usize, plan: bool) -> Server {
+/// one generation of `workload` with the given geometry.
+fn bench_server(workload: &str, geom: PredictorConfig, max_batch: usize) -> Server {
     let model = TransformerPredictor::new(geom, 9);
     let servable = ServablePredictor::capture(&model, None, "ipc");
     let dir = std::env::temp_dir().join("metadse_serve_bench");
@@ -77,7 +75,6 @@ fn bench_server(workload: &str, geom: PredictorConfig, max_batch: usize, plan: b
                 queue_capacity: 4096,
             },
             workers: 1,
-            plan,
         },
     )
 }
@@ -280,7 +277,7 @@ fn raw_rows(h: &mut Harness) {
 /// RNG happens to collide, which exercises the cache without letting
 /// it trivially absorb the load.
 fn session_load(sessions: usize) -> (Vec<u64>, f64) {
-    let server = bench_server("bench", PredictorConfig::default(), 8, true);
+    let server = bench_server("bench", PredictorConfig::default(), 8);
     let engine = SessionEngine::new(SessionEngineConfig::default());
     let mut latencies = Vec::new();
     let start = Instant::now();
@@ -326,7 +323,7 @@ fn full_report() {
 
     // Closed-loop single-query baseline: batching off.
     let single_qps = {
-        let server = bench_server("bench", DISPATCH_GEOM, 1, true);
+        let server = bench_server("bench", DISPATCH_GEOM, 1);
         let (latencies, qps) = closed_loop(&server, "bench", 1, 4000);
         record_family(&mut h, "serve/single_query", 1, latencies, qps);
         server.shutdown();
@@ -337,7 +334,7 @@ fn full_report() {
     // quantiles recorded alongside the load generator's measurement and
     // cross-checked — self-validation of the observability path.
     let batch_qps = {
-        let server = bench_server("bench", DISPATCH_GEOM, BATCH, true);
+        let server = bench_server("bench", DISPATCH_GEOM, BATCH);
         let (mut latencies, qps) = closed_loop(&server, "bench", BATCH, 250);
         let window = server.stats().e2e_window(server.now_us());
         let measured_p50 = percentile(&mut latencies, 50.0);
@@ -380,7 +377,7 @@ fn full_report() {
     // Open-loop at ~half of batched capacity: queueing delay visible,
     // but the server is not saturated.
     {
-        let server = bench_server("bench", DISPATCH_GEOM, BATCH, true);
+        let server = bench_server("bench", DISPATCH_GEOM, BATCH);
         let (latencies, qps) = open_loop(&server, "bench", batch_qps * 0.5, 4000);
         record_family(&mut h, "serve/open_loop", 2, latencies, qps);
         server.shutdown();
@@ -390,11 +387,11 @@ fn full_report() {
     // coalescing win is small — report it rather than hide it.
     {
         let paper = PredictorConfig::default();
-        let server = bench_server("bench", paper, 1, true);
+        let server = bench_server("bench", paper, 1);
         let (latencies, qps) = closed_loop(&server, "bench", 1, 300);
         record_family(&mut h, "serve/paper_single_query", 1, latencies, qps);
         server.shutdown();
-        let server = bench_server("bench", paper, BATCH, true);
+        let server = bench_server("bench", paper, BATCH);
         let (latencies, batch_qps) = closed_loop(&server, "bench", BATCH, 25);
         record_family(
             &mut h,
@@ -405,33 +402,6 @@ fn full_report() {
         );
         server.shutdown();
         report::kv("paper-geometry speedup", format!("{:.2}x", batch_qps / qps));
-
-        // A/B: the same paper-geometry batch-32 load through the
-        // layer-stack forward (`plan: false`), recorded under the
-        // `…@stack` suffix — PR 6's `…@scalar` convention. The headline
-        // `serve/plan_speedup_x1000` row is plan qps over stack qps.
-        let server = bench_server("bench", paper, BATCH, false);
-        let (latencies, stack_qps) = closed_loop(&server, "bench", BATCH, 25);
-        record_family(
-            &mut h,
-            &format!("serve/paper_batch{BATCH}@stack"),
-            BATCH,
-            latencies,
-            stack_qps,
-        );
-        server.shutdown();
-        let plan_speedup = batch_qps / stack_qps;
-        h.record(Sample {
-            name: "serve/plan_speedup_x1000".to_string(),
-            wall_ns: (plan_speedup * 1000.0) as u128,
-            iters: (BATCH * 25) as u32,
-            threads: BATCH,
-            allocs: 0,
-        });
-        report::kv(
-            "paper-geometry plan vs layer-stack",
-            format!("{plan_speedup:.2}x"),
-        );
     }
 
     // Per-round exploration-session latency over the same paper
@@ -454,7 +424,6 @@ fn full_report() {
             "serve/speedup",
             "serve/open_loop",
             "serve/paper_",
-            "serve/plan_",
             "serve/session_",
         ],
     )
@@ -472,7 +441,7 @@ fn full_report() {
 fn introspect_soak(secs: u64) {
     report::banner("MetaDSE serving introspection soak");
     report::kv("duration (s)", secs);
-    let server = bench_server("bench", DISPATCH_GEOM, BATCH, true);
+    let server = bench_server("bench", DISPATCH_GEOM, BATCH);
     let deadline = Instant::now() + Duration::from_secs(secs);
     let mut served = 0usize;
     while Instant::now() < deadline {
@@ -490,7 +459,7 @@ fn introspect_soak(secs: u64) {
 /// against the committed baseline, with a generous ratio (tail latency
 /// on shared runners is noisy) and an absolute floor — a p99 under the
 /// floor passes outright, whatever the committed value was. Gates both
-/// the dispatch-bound row and the paper-geometry plan-path row, so a
+/// the dispatch-bound row and the paper-geometry row, so a
 /// plan-execution regression trips CI even though the dispatch row is
 /// queue-dominated.
 fn smoke() {
@@ -518,7 +487,7 @@ fn smoke() {
     sharded::smoke_gate(&committed);
 }
 
-/// One best-of-three p99 gate for `row` at `geom` (plan path on).
+/// One best-of-three p99 gate for `row` at `geom`.
 fn smoke_gate(
     committed: &str,
     row: &str,
@@ -527,7 +496,7 @@ fn smoke_gate(
     abs_floor_ns: u64,
 ) {
     gate_p99(committed, row, abs_floor_ns, || {
-        let server = bench_server("bench", geom, BATCH, true);
+        let server = bench_server("bench", geom, BATCH);
         let (mut latencies, _) = closed_loop(&server, "bench", BATCH, per_client);
         server.shutdown();
         percentile(&mut latencies, 99.0)

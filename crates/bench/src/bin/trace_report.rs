@@ -107,13 +107,11 @@ fn fanout_walls(tasks: &[Task], parallel: &ParallelConfig) -> (Duration, Duratio
 fn serve_phase_sums(
     max_batch: usize,
     rounds: usize,
-    plan: bool,
 ) -> ((u64, u64, u64, u64, u64), PlanCacheStats) {
     let model = metadse::predictor::TransformerPredictor::new(DISPATCH_GEOM, 9);
     let servable = ServablePredictor::capture(&model, None, "ipc");
     let dir = std::env::temp_dir().join(format!(
-        "metadse_trace_serve_b{max_batch}_p{}_{}",
-        plan as u8,
+        "metadse_trace_serve_b{max_batch}_{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -128,7 +126,6 @@ fn serve_phase_sums(
                 queue_capacity: 4096,
             },
             workers: 1,
-            plan,
         },
     );
     let arity = DISPATCH_GEOM.num_params;
@@ -266,8 +263,7 @@ fn main() {
     let mut plan_totals = PlanCacheStats::default();
     for &max_batch in &[1usize, 8, 32] {
         let requests = 16 * max_batch;
-        let ((queue, assembly, forward, reply, e2e), plan_stats) =
-            serve_phase_sums(max_batch, 16, true);
+        let ((queue, assembly, forward, reply, e2e), plan_stats) = serve_phase_sums(max_batch, 16);
         plan_totals.hits += plan_stats.hits;
         plan_totals.misses += plan_stats.misses;
         plan_totals.compile_us += plan_stats.compile_us;
@@ -336,12 +332,13 @@ fn main() {
         report::line(format!(
             "attribution: the serve runs above executed through compiled \
              fixed-shape plans — {} compile(s) totalling {}, and every \
-             subsequent batch reused a worker-memoized plan ({} cache \
-             hit(s); workers re-consult the cache only on hot-swap). The \
-             per-op rows split the plan executor's forward time by IR op \
-             kind via the `serve/plan_op/*` counters; on the \
-             dispatch-bound geometry the linear/attention ops dominate \
-             while shape plumbing (split/merge heads) stays marginal.",
+             subsequent request reused the plan memoized at admission \
+             ({} cache hit(s); admission re-consults the cache only after \
+             a hot swap). The per-op rows split the plan executor's \
+             forward time by IR op kind via the `serve/plan_op/*` \
+             counters; on the dispatch-bound geometry the \
+             linear/attention ops dominate while shape plumbing \
+             (split/merge heads) stays marginal.",
             plan_totals.misses,
             human_ns(u128::from(plan_totals.compile_us) * 1000),
             plan_totals.hits,

@@ -46,6 +46,24 @@ impl Default for PredictorConfig {
     }
 }
 
+impl PredictorConfig {
+    /// Checks that [`TransformerPredictor::new`] can build this geometry:
+    /// `heads` must be non-zero and divide `d_model`.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.heads == 0 || !self.d_model.is_multiple_of(self.heads) {
+            return Err(format!(
+                "d_model {} does not divide into {} heads",
+                self.d_model, self.heads
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The transformer surrogate model `f_θ` of the paper.
 ///
 /// # Example

@@ -14,8 +14,9 @@
 //!
 //! [`ServablePredictor::instantiate`] rebuilds a live, thread-local
 //! [`TransformerPredictor`] (with the mask installed) whose `predict` is
-//! bit-identical to the captured model's — the mechanism the serving
-//! worker pool uses, one instantiation per worker thread.
+//! bit-identical to the captured model's — the reference the serving
+//! layer's compiled plans are checked against, which read the same
+//! weights through [`ServablePredictor::param_entries`].
 //!
 //! Serialized ([`ServablePredictor::to_bytes`]), an artifact is a sealed
 //! container ([`metadse_nn::format`]) — on disk, a generation of the
@@ -131,6 +132,12 @@ impl ServablePredictor {
     /// Returns [`CheckpointError`] if the embedded parameter payload does
     /// not match the captured geometry (possible only for hand-built
     /// artifacts; capture/decode both validate).
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`TransformerPredictor::new`] does, on a geometry
+    /// [`PredictorConfig::validate`] rejects — possible only when `config`
+    /// was edited after capture, since decode runs that check.
     pub fn instantiate(&self) -> Result<TransformerPredictor, CheckpointError> {
         let model = TransformerPredictor::new(self.config, 0);
         load_params_from_bytes(&model.params(), &self.params)?;
@@ -172,12 +179,13 @@ impl ServablePredictor {
     }
 
     /// Decodes a sealed artifact, verifying the container checksum, the
-    /// parameter payload, and the content fingerprint.
+    /// geometry, the parameter payload, and the content fingerprint.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Format`] for torn/corrupt/truncated
-    /// input or a fingerprint that does not match the decoded content.
+    /// input, a geometry [`PredictorConfig::validate`] rejects, or a
+    /// fingerprint that does not match the decoded content.
     pub fn from_bytes(bytes: &[u8]) -> Result<ServablePredictor, CheckpointError> {
         let (version, payload) = unseal(MAGIC, bytes)?;
         if version != VERSION {
@@ -200,6 +208,7 @@ impl ServablePredictor {
             d_hidden: dims[4],
             head_hidden: dims[5],
         };
+        config.validate().map_err(CheckpointError::Format)?;
         let params_len = r.u64()? as usize;
         let params = r.take(params_len)?.to_vec();
         // Validate the embedded payload now, not at first instantiate.
@@ -358,6 +367,26 @@ mod tests {
                 ServablePredictor::from_bytes(&bytes[..cut]),
                 Err(CheckpointError::Format(_))
             ));
+        }
+    }
+
+    /// A container sealed over a geometry the predictor cannot build —
+    /// with a fingerprint that matches it, so only the geometry check
+    /// can catch it — is refused at decode, which is what lets the
+    /// model registry fall back past such a generation.
+    #[test]
+    fn geometry_the_predictor_cannot_build_is_rejected() {
+        for heads in [0, 3] {
+            let mut servable = ServablePredictor::capture(&small_model(15), None, "ipc");
+            servable.config.heads = heads;
+            servable.fingerprint =
+                content_fingerprint(&servable.config, "ipc", &servable.params, None);
+            match ServablePredictor::from_bytes(&servable.to_bytes()) {
+                Err(CheckpointError::Format(message)) => {
+                    assert!(message.contains("heads"), "{message}")
+                }
+                other => panic!("heads = {heads} accepted: {other:?}"),
+            }
         }
     }
 

@@ -90,9 +90,11 @@ fn pretrain_is_bit_identical_across_thread_counts() {
 }
 
 /// The buffer pool and the fused kernels are performance features with a
-/// bit-identity contract: running the full tiny pretrain with both enabled
-/// must reproduce the plain-primitive run exactly. Both toggles are
-/// thread-local, so the run is pinned to one inline thread.
+/// bit-identity contract: under each backend, the full tiny pretrain must
+/// land on the same bits in all four pool × fused combinations. The
+/// backends' bits differ from each other, so results are compared only
+/// within one. Every toggle is thread-local, so the run is pinned to one
+/// inline thread.
 #[test]
 fn pool_and_fusion_do_not_change_pretrain_numerics() {
     let dim = 6;
@@ -101,9 +103,9 @@ fn pool_and_fusion_do_not_change_pretrain_numerics() {
         .collect();
     let val = vec![synthetic_dataset(70, dim, 80, 0.2)];
 
-    let run = |enabled: bool| {
-        let _pool = PoolModeGuard::set(enabled);
-        let _fuse = FusedModeGuard::set(enabled);
+    let run = |pool: bool, fused: bool| {
+        let _pool = PoolModeGuard::set(pool);
+        let _fuse = FusedModeGuard::set(fused);
         let model = tiny_model(dim);
         let config = MamlConfig {
             parallel: ParallelConfig::with_threads(1),
@@ -114,12 +116,18 @@ fn pool_and_fusion_do_not_change_pretrain_numerics() {
         (report, params)
     };
 
-    let fast = run(true);
-    let plain = run(false);
-    assert_eq!(
-        fast, plain,
-        "pool + fused kernels must be bit-identical to the primitive path"
-    );
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        let _backend = BackendModeGuard::set(kind);
+        let fast = run(true, true);
+        for (pool, fused) in [(true, false), (false, true), (false, false)] {
+            assert_eq!(
+                run(pool, fused),
+                fast,
+                "backend {}: pool={pool} fused={fused} diverged from pool + fused",
+                kind.name()
+            );
+        }
+    }
 }
 
 /// A configuration that really runs `threads` workers, even on a

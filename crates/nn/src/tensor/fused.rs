@@ -9,7 +9,7 @@
 //!
 //! Bit-identity contract: with fusion enabled, forward values **and**
 //! gradient values are bit-for-bit identical to the unfused composite that
-//! runs when fusion is disabled (`METADSE_FUSED=0` or [`FusedModeGuard`]).
+//! runs when [`FusedModeGuard`] disables fusion on the current thread.
 //! That holds because
 //!
 //! 1. the fused forward loops replicate the composite's per-element
@@ -38,12 +38,11 @@ use crate::Elem;
 use metadse_obs as obs;
 
 thread_local! {
-    static FUSED: Cell<bool> =
-        Cell::new(std::env::var("METADSE_FUSED").map_or(true, |v| v != "0"));
+    static FUSED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Whether fused kernels are active on this thread (default yes; set
-/// `METADSE_FUSED=0` to fall back to the primitive compositions).
+/// Whether fused kernels are active on this thread (default yes;
+/// [`FusedModeGuard`] falls back to the primitive compositions).
 pub fn is_enabled() -> bool {
     FUSED.with(|c| c.get())
 }

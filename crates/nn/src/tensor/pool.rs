@@ -26,8 +26,9 @@
 //! the hit/miss counters to `metadse-obs` (`nn/pool_hits` / `nn/pool_misses`),
 //! and a task fan-out calls [`release`] on the calling thread, which frees
 //! every pooled buffer before that thread starts its own task.
-//! Set `METADSE_POOL=0` to disable recycling entirely, or use
-//! [`PoolModeGuard`] to toggle it from tests.
+//! Recycling is on for every thread; [`PoolModeGuard`] turns it off on
+//! the current one (the unpooled path the bit-identity tests compare
+//! against).
 
 use std::cell::RefCell;
 
@@ -247,10 +248,9 @@ struct Pool {
 
 impl Pool {
     fn new() -> Self {
-        let enabled = std::env::var("METADSE_POOL").map_or(true, |v| v != "0");
         Pool {
             buckets: (0..=MAX_LOG2).map(|_| Vec::new()).collect(),
-            enabled,
+            enabled: true,
             hits: 0,
             misses: 0,
         }

@@ -18,12 +18,13 @@
 //!   tiny ~10-op serving IR lowered once per artifact × batch capacity,
 //!   executed over one preallocated arena sized by op liveness, with
 //!   every kernel choice resolved at compile time and bit-exact parity
-//!   with the layer-stack forward (`METADSE_PLAN=0` falls back).
+//!   with the layer-stack `predict`. Plans are the only serving
+//!   forward.
 //! * [`server`] — the runtime: a worker pool (on
 //!   [`metadse_parallel::WorkerPool`]) pops batches, groups them by
-//!   model fingerprint, and runs one inference-mode forward per group
-//!   through the compiled plan; callers block on per-request
-//!   [`Ticket`]s.
+//!   model fingerprint, and runs one compiled-plan forward per group;
+//!   callers block on per-request [`Ticket`]s, and an artifact that
+//!   does not compile is refused at admission.
 //!
 //! Because every op in the `metadse-nn` forward path computes each
 //! output element independently of batch row count, a batched forward

@@ -39,12 +39,18 @@
 //! [`crate::exec`]) dispatches onto the same backend primitives as the
 //! tensor ops ([`metadse_nn::prims`]) and reproduces each op's exact
 //! accumulation order — the fused-kernel order, which the `metadse-nn`
-//! contracts pin bit-identical to the composite forms under every
-//! `METADSE_FUSED`/`METADSE_POOL` setting and per backend. A plan
-//! forward is therefore bit-identical to
-//! `servable.instantiate().predict(...)` on the same thread; the parity
-//! suite in `tests/plan.rs` asserts this across the whole mode matrix,
-//! poison inputs included.
+//! contracts pin bit-identical to the composite forms with the buffer
+//! pool on or off, per backend. A plan forward is therefore
+//! bit-identical to `servable.instantiate().predict(...)` on the same
+//! thread; the parity suite in `tests/plan.rs` asserts this across the
+//! whole backend × pool × fused mode matrix, poison inputs included.
+//!
+//! **Compile is the serving gate.** The server runs nothing but plans,
+//! so [`Plan::compile`] rejects every artifact it cannot lower —
+//! `heads` not dividing `d_model`, a missing or misshapen parameter, a
+//! mask of the wrong size — and the server refuses that workload's
+//! requests at admission instead of handing a worker something it
+//! cannot run.
 //!
 //! **Batch capacity.** A plan is compiled for a maximum batch
 //! (`capacity`, the server's `max_batch`) and serves any batch `1 ≤ b ≤
@@ -263,10 +269,10 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Format`] when the embedded parameter
-    /// payload is missing a tensor or carries one at the wrong shape —
-    /// possible only for hand-built artifacts, exactly like
-    /// [`ServablePredictor::instantiate`].
+    /// Returns [`CheckpointError::Format`] when the geometry fails
+    /// [`PredictorConfig::validate`], or the embedded parameter payload
+    /// is missing a tensor or carries one at the wrong shape — possible
+    /// only for hand-built artifacts (decoded ones are validated).
     pub fn compile(servable: &ServablePredictor, capacity: usize) -> Result<Plan, CheckpointError> {
         let capacity = capacity.max(1);
         let cfg: PredictorConfig = servable.config;
@@ -277,11 +283,7 @@ impl Plan {
             cfg.d_hidden,
             cfg.head_hidden,
         );
-        if h == 0 || d % h != 0 {
-            return Err(CheckpointError::Format(format!(
-                "d_model {d} not divisible by heads {h}"
-            )));
-        }
+        cfg.validate().map_err(CheckpointError::Format)?;
         let dk = d / h;
         let entries = Weights::new(servable.param_entries()?);
 

@@ -22,8 +22,8 @@
 //! `refresh`/`publish` swap the table entry underneath — hot swap
 //! without a stop-the-world. Swaps are fingerprint-checked: a refresh
 //! that finds bytes describing the content already being served keeps
-//! the existing entry, so worker-side instance caches keyed by
-//! fingerprint stay warm across no-op refreshes.
+//! the existing entry (and the epoch), so servers' route memos and the
+//! plan cache stay warm across no-op refreshes.
 
 use std::collections::HashMap;
 use std::fs;
@@ -235,9 +235,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates [`Plan::compile`] failures (malformed parameter
-    /// payloads); nothing is cached on error, so callers can fall back
-    /// to the layer-stack path.
+    /// Propagates [`Plan::compile`] failures (inconsistent geometry or
+    /// malformed parameter payloads); nothing is cached on error.
     pub fn plan_for(
         &self,
         entry: &ModelEntry,

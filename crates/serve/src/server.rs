@@ -5,16 +5,17 @@
 //! `(workload, configuration)` queries with [`Server::submit`] and block
 //! on the returned [`Ticket`]; workers coalesce queued requests into
 //! batches (per the [`BatchConfig`] policy), group each batch by model
-//! fingerprint, and run **one** inference-mode `predict` per group.
+//! fingerprint, and run **one** compiled-plan forward per group.
 //!
-//! The autodiff graph in `metadse-nn` is `Rc`-backed and thread-bound,
-//! so models never cross threads: each worker rebuilds its own
-//! [`TransformerPredictor`] from the registry's plain-data
-//! [`ServablePredictor`](metadse::ServablePredictor) artifact and caches
-//! it per workload, keyed by content fingerprint — a hot-swapped
-//! generation is picked up on the first batch that carries it, and
-//! batched execution stays bit-identical to a serial `predict` on the
-//! same artifact (asserted by the soak test in `tests/concurrency.rs`).
+//! Admission resolves each workload to its registry entry and compiled
+//! [`Plan`] once per registry epoch; plans are plain `Send + Sync` data
+//! shared by `Arc`, and every worker executes them over its own
+//! [`PlanArena`]. A hot-swapped generation is served from the first
+//! request admitted after the swap, and batched execution stays
+//! bit-identical to a serial `predict` on the same artifact (asserted by
+//! the soak test in `tests/concurrency.rs`). An artifact that does not
+//! compile is refused at admission with [`ServeError::Artifact`], so no
+//! worker ever sees it.
 //!
 //! Observability (feature `obs`): `serve/queue_depth` gauge,
 //! `serve/batch_size`, `serve/e2e_latency_us`, `serve/queue_wait_us`,
@@ -33,7 +34,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use metadse::predictor::TransformerPredictor;
 use metadse_obs as obs;
 use metadse_obs::window::{Health, WatchdogConfig, WatchdogSample, WindowConfig};
 use metadse_parallel::WorkerPool;
@@ -51,12 +51,6 @@ pub struct ServeConfig {
     pub batch: BatchConfig,
     /// Worker threads executing batches (min 1).
     pub workers: usize,
-    /// Execute grouped batches through compiled inference plans
-    /// ([`crate::plan`]). Defaults to on; `METADSE_PLAN=0` in the
-    /// environment (or setting this to `false`) falls back to the
-    /// layer-stack `predict` path — an escape hatch, since the two are
-    /// bit-identical.
-    pub plan: bool,
 }
 
 impl Default for ServeConfig {
@@ -64,15 +58,8 @@ impl Default for ServeConfig {
         ServeConfig {
             batch: BatchConfig::default(),
             workers: 2,
-            plan: plan_enabled_from_env(),
         }
     }
-}
-
-/// `METADSE_PLAN=0` disables plan execution; anything else (including
-/// unset) leaves it on.
-fn plan_enabled_from_env() -> bool {
-    std::env::var("METADSE_PLAN").map_or(true, |v| v != "0")
 }
 
 /// Why a request was refused or failed.
@@ -93,7 +80,9 @@ pub enum ServeError {
         /// Parameters the request carried.
         got: usize,
     },
-    /// The model artifact could not be instantiated on a worker.
+    /// The workload's model artifact does not compile into a serving
+    /// plan (a hand-built artifact with inconsistent geometry or
+    /// parameters); refused at admission.
     Artifact(String),
 }
 
@@ -110,7 +99,7 @@ impl std::fmt::Display for ServeError {
                     "configuration has {got} parameters, model expects {expected}"
                 )
             }
-            ServeError::Artifact(m) => write!(f, "model artifact failed to instantiate: {m}"),
+            ServeError::Artifact(m) => write!(f, "model artifact failed to compile: {m}"),
         }
     }
 }
@@ -136,9 +125,8 @@ pub struct Prediction {
 pub(crate) struct Request {
     entry: Arc<ModelEntry>,
     /// Compiled plan for `entry`'s artifact, resolved alongside it at
-    /// admission (None when plan execution is off or compile failed —
-    /// the worker then falls back to the layer-stack path).
-    plan: Option<Arc<Plan>>,
+    /// admission.
+    plan: Arc<Plan>,
     config: Vec<f64>,
     tx: mpsc::Sender<Result<Prediction, ServeError>>,
     /// Per-request trace context, minted at admission; carried through
@@ -171,11 +159,13 @@ impl Ticket {
     }
 }
 
+/// A workload's registry entry and compiled plan, or why it is refused.
+type Route = Result<(Arc<ModelEntry>, Arc<Plan>), ServeError>;
+
 /// One workload's resolved serving route, memoized per registry epoch.
 struct CachedRoute {
     epoch: u64,
-    entry: Arc<ModelEntry>,
-    plan: Option<Arc<Plan>>,
+    route: Route,
 }
 
 pub(crate) struct Shared {
@@ -190,8 +180,6 @@ pub(crate) struct Shared {
     pub(crate) watchdog: WatchdogConfig,
     /// Request-id mint (first id is 1; 0 never names a request).
     next_id: AtomicU64,
-    /// Whether admitted requests carry compiled plan handles.
-    plan_mode: bool,
     /// Plan batch capacity (= the batcher's `max_batch`).
     batch_capacity: usize,
     /// Workload → route memo, validated against the registry epoch so a
@@ -209,46 +197,43 @@ impl Shared {
         crate::introspect::evaluate(self, now_us)
     }
 
-    /// The serving route for `workload`: its current registry entry
-    /// plus (in plan mode) the compiled plan handle. Memoized per
-    /// registry epoch — the epoch is read *before* the table, so a
-    /// concurrent hot swap can only leave the memo stamped older than
-    /// its contents, forcing a harmless re-resolve next lookup, never a
-    /// stale hit.
-    fn resolve(&self, workload: &str) -> Option<(Arc<ModelEntry>, Option<Arc<Plan>>)> {
+    /// The serving route for `workload`: its current registry entry and
+    /// compiled plan, [`ServeError::UnknownWorkload`] when nothing is
+    /// registered, or [`ServeError::Artifact`] when the artifact does not
+    /// compile. Memoized per registry epoch (refusals included, so a bad
+    /// artifact costs one compile and one warning per hot swap) — the
+    /// epoch is read *before* the table, so a concurrent hot swap can
+    /// only leave the memo stamped older than its contents, forcing a
+    /// harmless re-resolve next lookup, never a stale hit.
+    fn resolve(&self, workload: &str) -> Route {
         let epoch = self.registry.epoch();
-        if let Some(route) = self.routes.read().unwrap().get(workload) {
-            if route.epoch == epoch {
-                return Some((route.entry.clone(), route.plan.clone()));
+        if let Some(cached) = self.routes.read().unwrap().get(workload) {
+            if cached.epoch == epoch {
+                return cached.route.clone();
             }
         }
-        let entry = self.registry.get(workload)?;
-        let plan = if self.plan_mode {
-            match self.registry.plan_for(&entry, self.batch_capacity) {
-                Ok(plan) => Some(plan),
-                Err(e) => {
-                    // Malformed payloads fall back to the layer-stack
-                    // path, which surfaces the same failure as an
-                    // `Artifact` error on the ticket. Memoizing the
-                    // `None` keeps the warn at once per epoch.
-                    obs::report::warn(format!(
-                        "serve: plan compile failed for {workload} ({e}); using layer-stack path"
-                    ));
-                    None
-                }
+        // Unknown names are not memoized: clients choose them freely.
+        let entry = self
+            .registry
+            .get(workload)
+            .ok_or_else(|| ServeError::UnknownWorkload(workload.to_string()))?;
+        let route = match self.registry.plan_for(&entry, self.batch_capacity) {
+            Ok(plan) => Ok((entry, plan)),
+            Err(e) => {
+                obs::report::warn(format!(
+                    "serve: plan compile failed for {workload} ({e}); refusing its requests"
+                ));
+                Err(ServeError::Artifact(e.to_string()))
             }
-        } else {
-            None
         };
         self.routes.write().unwrap().insert(
             workload.to_string(),
             CachedRoute {
                 epoch,
-                entry: entry.clone(),
-                plan: plan.clone(),
+                route: route.clone(),
             },
         );
-        Some((entry, plan))
+        route
     }
 }
 
@@ -281,7 +266,6 @@ impl Server {
             stats: Arc::new(ServerStats::new(WindowConfig::from_env())),
             watchdog: WatchdogConfig::from_env(),
             next_id: AtomicU64::new(1),
-            plan_mode: config.plan,
             batch_capacity: config.batch.max_batch.max(1),
             routes: RwLock::new(HashMap::new()),
         });
@@ -361,19 +345,23 @@ impl Server {
         self.shared.core.lock().unwrap().len()
     }
 
-    /// Submits one query. Unknown workloads and arity mismatches fail
-    /// the ticket immediately; otherwise the request is admitted (or
-    /// shed) and resolved by a worker batch. `timeout` bounds the time
-    /// the request may sit in the queue, not the batch execution.
+    /// Submits one query. Unknown workloads, artifacts that do not
+    /// compile and arity mismatches fail the ticket immediately;
+    /// otherwise the request is admitted (or shed) and resolved by a
+    /// worker batch. `timeout` bounds the time the request may sit in
+    /// the queue, not the batch execution.
     pub fn submit(&self, workload: &str, config: &[f64], timeout: Option<Duration>) -> Ticket {
         let (tx, rx) = mpsc::channel();
         let ticket = Ticket { rx };
         // One epoch-memoized resolve covers the registry lookup *and*
         // the plan handle: submit bursts within a batch window no
         // longer take the registry table lock per request.
-        let Some((entry, plan)) = self.shared.resolve(workload) else {
-            let _ = tx.send(Err(ServeError::UnknownWorkload(workload.to_string())));
-            return ticket;
+        let (entry, plan) = match self.shared.resolve(workload) {
+            Ok(route) => route,
+            Err(refused) => {
+                let _ = tx.send(Err(refused));
+                return ticket;
+            }
         };
         let expected = entry.servable.config.num_params;
         if config.len() != expected {
@@ -451,10 +439,6 @@ impl Drop for Server {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Thread-local instance cache: workload → (fingerprint, predictor).
-    // Keyed by fingerprint so a hot-swapped generation rebuilds exactly
-    // once per worker, while no-op refreshes keep the instance warm.
-    let mut cache: HashMap<String, (u64, TransformerPredictor)> = HashMap::new();
     // Worker-owned plan arena: one slab reused by every plan forward
     // this thread runs, across batches, plans, and hot swaps.
     let mut arena = PlanArena::new();
@@ -473,7 +457,7 @@ fn worker_loop(shared: &Shared) {
             PopOutcome::Batch(batch) => {
                 obs::gauge("serve/queue_depth", guard.len() as f64);
                 drop(guard);
-                run_batch(shared, &mut cache, &mut arena, batch, now);
+                run_batch(shared, &mut arena, batch, now);
                 guard = shared.core.lock().unwrap();
             }
             PopOutcome::WaitUntil(wake_us) => {
@@ -486,13 +470,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_batch(
-    shared: &Shared,
-    cache: &mut HashMap<String, (u64, TransformerPredictor)>,
-    arena: &mut PlanArena,
-    batch: Vec<Pending<Request>>,
-    popped_us: u64,
-) {
+fn run_batch(shared: &Shared, arena: &mut PlanArena, batch: Vec<Pending<Request>>, popped_us: u64) {
     obs::histogram("serve/batch_size", batch.len() as f64);
     // Nest this batch's spans under the span of whichever caller's
     // request leads the batch — batches mix tenants, so one adopted
@@ -515,40 +493,6 @@ fn run_batch(
     }
     for key in order {
         let mut group = groups.remove(&key).unwrap();
-        let entry = group[0].payload.entry.clone();
-        // A plan handle attached at admission serves the whole group —
-        // the group key *is* the artifact fingerprint, so any member's
-        // handle is valid for all of them. Requests without one (plan
-        // mode off, or compile fell back) take the layer-stack path.
-        let plan: Option<Arc<Plan>> = group.iter().find_map(|p| {
-            p.payload
-                .plan
-                .as_ref()
-                .filter(|plan| plan.fingerprint() == key && plan.capacity() >= group.len())
-                .cloned()
-        });
-        let model = if plan.is_some() {
-            None
-        } else {
-            match cached_instance(cache, &entry) {
-                Ok(model) => Some(model),
-                Err(e) => {
-                    let message = e.to_string();
-                    let failed_us = shared.now_us();
-                    for mut pending in group {
-                        pending.payload.trace.popped_us = popped_us;
-                        pending.payload.trace.done_us = failed_us;
-                        pending.payload.trace.outcome = "artifact_error";
-                        shared.stats.traces.push(pending.payload.trace);
-                        let _ = pending
-                            .payload
-                            .tx
-                            .send(Err(ServeError::Artifact(message.clone())));
-                    }
-                    continue;
-                }
-            }
-        };
         let inputs: Vec<Vec<f64>> = group
             .iter_mut()
             .map(|p| std::mem::take(&mut p.payload.config))
@@ -556,11 +500,11 @@ fn run_batch(
         let forward_start_us = shared.now_us();
         let values = {
             let _forward_span = obs::span("serve/forward");
-            match (&plan, model) {
-                (Some(plan), _) => run_plan(plan, &inputs, arena),
-                (None, Some(model)) => model.predict(&inputs),
-                (None, None) => unreachable!("group has neither plan nor model"),
-            }
+            // The group key *is* the artifact fingerprint, so the plan
+            // any member was admitted with serves all of them; the
+            // batcher caps every batch at `max_batch`, the plan's
+            // capacity.
+            run_plan(&group[0].payload.plan, &inputs, arena)
         };
         let done_us = shared.now_us();
         let batch_size = group.len();
@@ -622,26 +566,4 @@ fn run_plan(plan: &Plan, inputs: &[Vec<f64>], arena: &mut PlanArena) -> Vec<f64>
     } else {
         plan.run(inputs, arena)
     }
-}
-
-/// The worker's live predictor for `entry`, instantiating on first use
-/// or when the served fingerprint changed.
-fn cached_instance<'a>(
-    cache: &'a mut HashMap<String, (u64, TransformerPredictor)>,
-    entry: &ModelEntry,
-) -> Result<&'a TransformerPredictor, metadse_nn::serialize::CheckpointError> {
-    let fingerprint = entry.servable.fingerprint();
-    let slot = cache.entry(entry.workload.clone());
-    let slot = match slot {
-        std::collections::hash_map::Entry::Occupied(o) if o.get().0 == fingerprint => {
-            return Ok(&o.into_mut().1)
-        }
-        std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            let model = entry.servable.instantiate()?;
-            return Ok(&v.insert((fingerprint, model)).1);
-        }
-    };
-    *slot = (fingerprint, entry.servable.instantiate()?);
-    Ok(&slot.1)
 }

@@ -108,7 +108,7 @@ pub enum ErrorCode {
     UnknownWorkload = 4,
     /// Configuration vector has the wrong arity.
     BadArity = 5,
-    /// The model artifact failed to instantiate on a worker.
+    /// The model artifact does not compile into a serving plan.
     Artifact = 6,
     /// The owning shard is down (crashed / restarting); the request was
     /// **not** executed-and-acknowledged — retry.

@@ -57,16 +57,15 @@ pub struct RequestTrace {
     pub admitted_us: u64,
     /// When a worker popped the batch containing this request.
     pub popped_us: u64,
-    /// When the request's fingerprint group entered `predict`.
+    /// When the request's fingerprint group entered the plan forward.
     pub forward_start_us: u64,
-    /// When `predict` returned for the group.
+    /// When the plan forward returned for the group.
     pub forward_end_us: u64,
     /// When the reply was handed to the caller's channel.
     pub done_us: u64,
     /// Size of the forward group this request was coalesced into.
     pub batch_size: usize,
-    /// Terminal state: `served`, `deadline_miss`, `shed`, `closed`, or
-    /// `artifact_error`.
+    /// Terminal state: `served`, `deadline_miss` or `shed`.
     pub outcome: &'static str,
 }
 
@@ -100,12 +99,12 @@ impl RequestTrace {
     }
 
     /// Microseconds between pop and forward start (grouping by
-    /// fingerprint, instance-cache lookup/rebuild, input assembly).
+    /// fingerprint, input assembly).
     pub fn assembly_us(&self) -> u64 {
         self.forward_start_us.saturating_sub(self.popped_us)
     }
 
-    /// Microseconds inside the batched `predict`.
+    /// Microseconds inside the batched plan forward.
     pub fn forward_us(&self) -> u64 {
         self.forward_end_us.saturating_sub(self.forward_start_us)
     }

@@ -234,7 +234,6 @@ fn graceful_shutdown_drains_every_admitted_request() {
                 queue_capacity: 64,
             },
             workers: 2,
-            ..ServeConfig::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(3);
@@ -264,7 +263,6 @@ fn overload_sheds_rather_than_blocking() {
                 queue_capacity: 4,
             },
             workers: 1,
-            ..ServeConfig::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(5);
@@ -301,7 +299,6 @@ fn queued_past_deadline_misses_instead_of_serving_late() {
                 queue_capacity: 64,
             },
             workers: 1,
-            ..ServeConfig::default()
         },
     );
     let ticket = server.submit("mcf", &[0.5; 6], Some(Duration::from_millis(5)));
@@ -323,7 +320,6 @@ fn hot_swap_serves_the_new_generation_to_new_requests() {
                 queue_capacity: 64,
             },
             workers: 1,
-            ..ServeConfig::default()
         },
     );
     let first = server.submit("mcf", &[0.25; 6], None).wait().unwrap();
@@ -369,7 +365,6 @@ fn soak_batched_results_are_bit_identical_to_serial_predict() {
                     queue_capacity: 256,
                 },
                 workers,
-                ..ServeConfig::default()
             },
         );
         let mut outcomes: Vec<(Vec<f64>, f64, usize)> = Vec::new();
@@ -436,7 +431,6 @@ fn soak_mixed_workloads_never_cross_models() {
                 queue_capacity: 256,
             },
             workers: 2,
-            ..ServeConfig::default()
         },
     );
     std::thread::scope(|scope| {

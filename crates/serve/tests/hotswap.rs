@@ -60,7 +60,6 @@ fn hot_swap_race_never_serves_stale_plan_or_mismatched_generation() {
                 queue_capacity: 256,
             },
             workers: 2,
-            ..ServeConfig::default()
         },
     );
 

@@ -77,7 +77,6 @@ fn endpoint_answers_health_ready_metrics_and_trace() {
                 queue_capacity: 64,
             },
             workers: 2,
-            ..ServeConfig::default()
         },
     );
     let sock = sock_path("roundtrip");
@@ -140,17 +139,15 @@ fn endpoint_answers_health_ready_metrics_and_trace() {
             "metrics exposition must carry {line:?}"
         );
     }
-    if ServeConfig::default().plan {
-        assert!(
-            field(
-                body,
-                "counter serve/plan_cache_misses",
-                "serve/plan_cache_misses"
-            )
-            .is_some_and(|v| v >= 1.0),
-            "plan path on: at least one plan compiled"
-        );
-    }
+    assert!(
+        field(
+            body,
+            "counter serve/plan_cache_misses",
+            "serve/plan_cache_misses"
+        )
+        .is_some_and(|v| v >= 1.0),
+        "at least one plan compiled"
+    );
     // Tenant attribution: one fingerprint, 16 requests, nonzero forward.
     let tenant_line = body
         .lines()
@@ -194,7 +191,6 @@ fn health_transitions_ok_to_degraded_on_forced_deadline_misses() {
                 queue_capacity: 64,
             },
             workers: 1,
-            ..ServeConfig::default()
         },
     );
     let sock = sock_path("degrade");
@@ -270,7 +266,6 @@ fn soak_polling_the_endpoint_never_perturbs_served_bits() {
                     queue_capacity: 256,
                 },
                 workers,
-                ..ServeConfig::default()
             },
         );
         let sock = sock_path(&format!("soak{workers}"));

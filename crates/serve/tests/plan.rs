@@ -1,15 +1,14 @@
 //! Compiled-plan parity suite: the plan executor must be bit-identical
-//! to `TransformerPredictor::predict` under every escape-hatch
-//! combination (backend × pool × fused), on poisoned inputs (NaN, ±inf,
-//! subnormals, zero-heavy rows), with and without a WAM attention mask
-//! — and the server's plan cache must invalidate atomically across a
-//! hot swap, never serving a stale generation's plan.
+//! to `TransformerPredictor::predict` under every backend × pool × fused
+//! mode combination (selected in-process by the mode guards), on
+//! poisoned inputs (NaN, ±inf, subnormals, zero-heavy rows), with and
+//! without a WAM attention mask — and the server's plan cache must
+//! invalidate atomically across a hot swap, never serving a stale
+//! generation's plan.
 //!
 //! Run through `scripts/test-matrix.sh` this suite also pins the plan
 //! outputs to per-backend cross-build digests (`$METADSE_DIGEST_FILE
-//! .plan{,.simd}`): the pool and fused toggles change nothing on the
-//! plan path, so all four combinations per backend must reproduce one
-//! digest bit-for-bit.
+//! .plan{,.simd}`).
 
 use std::sync::Arc;
 
@@ -161,9 +160,6 @@ fn plan_parity_on_poison_inputs() {
 /// Cross-build digest pin for the plan path, composed with the
 /// determinism suite's convention: the scalar backend records
 /// `$METADSE_DIGEST_FILE.plan`, other backends `….plan.<backend>`.
-/// Within one backend every pool×fused matrix combination must
-/// reproduce the digest exactly — the plan path never touches either
-/// toggle.
 #[test]
 fn plan_outputs_pin_cross_build_digest() {
     let Ok(base) = std::env::var("METADSE_DIGEST_FILE") else {
@@ -224,9 +220,6 @@ fn plan_server(registry: &Arc<ModelRegistry>, max_batch: usize, workers: usize) 
                 queue_capacity: 256,
             },
             workers,
-            // Explicit: these assertions are about the plan path, so the
-            // suite stays meaningful under a `METADSE_PLAN=0` run.
-            plan: true,
         },
     )
 }

@@ -62,7 +62,6 @@ fn serve_config() -> ServeConfig {
             queue_capacity: 256,
         },
         workers: 1,
-        ..ServeConfig::default()
     }
 }
 

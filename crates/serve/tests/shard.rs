@@ -49,7 +49,6 @@ fn serve_config() -> ServeConfig {
             queue_capacity: 256,
         },
         workers: 1,
-        ..ServeConfig::default()
     }
 }
 
@@ -173,6 +172,35 @@ fn typed_errors_cross_both_hops() {
         }
     }
     assert!(misses > 0, "tight deadlines should produce typed misses");
+
+    front.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An artifact that does not compile into a plan reads `Artifact`
+/// through the front door, and the shard keeps serving its other
+/// tenants. The copy's `heads = 3` does not divide `d_model = 8`, so
+/// decode would refuse it from disk: it reaches the one-worker shard
+/// through that shard's in-memory registry.
+#[test]
+fn misshapen_artifact_reads_artifact_across_both_hops() {
+    let dir = fleet_dir("artifact");
+    let (root, references) = publish_workloads(&dir, &["mcf"]);
+    let (shards, front) = start_fleet(&dir, &root, 1);
+    let mut misshapen = servable(2000);
+    misshapen.config.heads = 3;
+    shards[0].registry().publish("bad", &misshapen).unwrap();
+    let mut client = FrontClient::connect(front.socket()).unwrap();
+
+    let err = client.predict("bad", &[0.5; 6], None).unwrap_err();
+    assert_eq!(err.code, ErrorCode::Artifact, "{err:?}");
+    assert!(!err.retryable());
+    let got = client.predict("mcf", &[0.5; 6], None).unwrap();
+    let want = references[0].predict(&[vec![0.5; 6]])[0];
+    assert_eq!(got.value.to_bits(), want.to_bits());
 
     front.shutdown();
     for shard in shards {

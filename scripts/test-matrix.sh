@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Escape-hatch matrix: the buffer pool (METADSE_POOL), the fused
-# kernels (METADSE_FUSED) and the tensor backend (METADSE_BACKEND) are
-# performance features with a bit-identity contract. This runs the nn
-# and core suites in all eight combinations against one shared
-# METADSE_DIGEST_FILE — within each backend the first combination
-# records the pretrain digest and every later one must reproduce it
-# bit-for-bit, so any combination that changes the numerics fails the
-# run. The two backends pin *separate* digests (the SIMD backend
-# reassociates reductions, so its bits legitimately differ): the core
-# test suites suffix the digest path with ".simd" when the SIMD backend
-# is active.
+# Backend matrix: the tensor backend (METADSE_BACKEND) is the one runtime
+# switch with numerics of its own. This runs the nn and core suites and
+# the compiled-plan parity suite under each backend against one shared
+# METADSE_DIGEST_FILE: the first run records the pretrain digest
+# (scalar: the file itself, simd: ".simd") and the plan digests
+# (".plan", ".plan.simd"), and every later run with the same file must
+# reproduce them bit-for-bit — run it in two checkouts with one file to
+# compare a change against its parent. The two backends pin *separate*
+# digests (the SIMD backend reassociates reductions, so its bits
+# legitimately differ). The buffer pool and the fused kernels need no
+# loop here: the suites run every pool × fused combination in-process
+# through PoolModeGuard / FusedModeGuard.
 #
 # Usage: scripts/test-matrix.sh [extra cargo test args…]
 set -euo pipefail
@@ -19,21 +20,10 @@ digest_file="${METADSE_DIGEST_FILE:-$(mktemp -t metadse-matrix-digest.XXXXXX)}"
 export METADSE_DIGEST_FILE="$digest_file"
 
 for backend in scalar simd; do
-  for pool in 0 1; do
-    for fused in 0 1; do
-      echo "=== METADSE_BACKEND=$backend METADSE_POOL=$pool METADSE_FUSED=$fused ==="
-      METADSE_BACKEND=$backend METADSE_POOL=$pool METADSE_FUSED=$fused \
-        cargo test -q -p metadse-nn -p metadse "$@"
-      # The compiled-plan parity suite pins its own digest per backend
-      # (suffix ".plan"): the plan path ignores the pool and fused
-      # toggles, so all four combinations must reproduce it too.
-      METADSE_BACKEND=$backend METADSE_POOL=$pool METADSE_FUSED=$fused \
-        cargo test -q -p metadse-serve --test plan "$@"
-    done
-  done
+  echo "=== METADSE_BACKEND=$backend ==="
+  METADSE_BACKEND=$backend cargo test -q -p metadse-nn -p metadse "$@"
+  METADSE_BACKEND=$backend cargo test -q -p metadse-serve --test plan "$@"
 done
 
-echo "all pool×fused combinations reproduced digest $(cat "$digest_file") (scalar)"
-echo "all pool×fused combinations reproduced digest $(cat "$digest_file.simd") (simd)"
-echo "compiled plans reproduced digest $(cat "$digest_file.plan") (scalar)"
-echo "compiled plans reproduced digest $(cat "$digest_file.plan.simd") (simd)"
+echo "pretrain digest $(cat "$digest_file") (scalar), $(cat "$digest_file.simd") (simd)"
+echo "plan digest $(cat "$digest_file.plan") (scalar), $(cat "$digest_file.plan.simd") (simd)"
