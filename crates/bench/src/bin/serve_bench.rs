@@ -135,7 +135,7 @@ fn closed_loop(
         .get(workload)
         .expect("workload published")
         .servable
-        .config
+        .config()
         .num_params;
     // Warm the worker's model cache and the branch predictors.
     for i in 0..32 {
@@ -181,7 +181,7 @@ fn open_loop(server: &Server, workload: &str, rate_qps: f64, total: usize) -> (V
         .get(workload)
         .expect("workload published")
         .servable
-        .config
+        .config()
         .num_params;
     let (tx, rx) = mpsc::channel();
     let start = Instant::now();

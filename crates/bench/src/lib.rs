@@ -142,8 +142,9 @@ pub mod fleet {
     use std::io;
     use std::path::{Path, PathBuf};
 
+    use metadse::shard::ShardSpec;
     use metadse_serve::front::{Front, FrontConfig};
-    use metadse_serve::shard::{shard_socket, WORKER_FLAG};
+    use metadse_serve::shard::{shard_socket, ShardOptions, WORKER_FLAG};
     use metadse_serve::supervisor::{ShardPlan, Supervisor, SupervisorConfig};
 
     /// How to stand up one fleet.
@@ -192,36 +193,23 @@ pub mod fleet {
         }
 
         /// The spawn plan for shard `index`: re-execute this binary
-        /// with [`WORKER_FLAG`].
+        /// with [`WORKER_FLAG`] and the flags of its [`ShardOptions`].
         ///
         /// # Errors
         ///
-        /// When `std::env::current_exe` cannot name the running binary.
+        /// When `index` is not below `shards`, or
+        /// `std::env::current_exe` cannot name the running binary.
         pub fn worker_plan(&self, index: usize) -> io::Result<ShardPlan> {
             let socket = shard_socket(&self.dir, index);
-            let mut args = [
-                WORKER_FLAG,
-                "--socket",
-                &socket.display().to_string(),
-                "--registry",
-                &self.registry_root.display().to_string(),
-                "--shard-index",
-                &index.to_string(),
-                "--shard-count",
-                &self.shards.to_string(),
-                "--workers",
-                &self.workers.to_string(),
-                "--max-batch",
-                &self.max_batch.to_string(),
-                "--max-wait-us",
-                &self.max_wait_us.to_string(),
-            ]
-            .map(String::from)
-            .to_vec();
-            if let Some(session_dir) = &self.session_dir {
-                args.push("--session-dir".to_string());
-                args.push(session_dir.display().to_string());
-            }
+            let mut opts = ShardOptions::single(&socket, &self.registry_root);
+            opts.spec = ShardSpec::new(index, self.shards)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+            opts.config.workers = self.workers;
+            opts.config.batch.max_batch = self.max_batch;
+            opts.config.batch.max_wait_us = self.max_wait_us;
+            opts.session_dir.clone_from(&self.session_dir);
+            let mut args = vec![WORKER_FLAG.to_string()];
+            args.extend(opts.to_args());
             Ok(ShardPlan {
                 program: std::env::current_exe()?,
                 args,
@@ -685,6 +673,27 @@ mod tests {
             })
             .collect();
         assert_eq!(names, ["aaa/first", "maml/thing", "serve/new"], "{merged}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn worker_plan_flags_parse_back_to_the_fleet_options() {
+        use metadse_serve::shard::{parse_worker_args, WORKER_FLAG};
+
+        let mut opts = fleet::FleetOptions::new("/tmp/fleet", "/tmp/fleet/models", 3);
+        opts.max_batch = 16;
+        opts.session_dir = Some("/tmp/fleet/sessions".into());
+        let plan = opts.worker_plan(2).unwrap();
+        assert_eq!(plan.args[0], WORKER_FLAG);
+        let parsed = parse_worker_args(&plan.args[1..]).unwrap();
+        assert_eq!(parsed.socket, plan.socket);
+        assert_eq!(parsed.registry_root, opts.registry_root);
+        assert_eq!((parsed.spec.index, parsed.spec.count), (2, 3));
+        assert_eq!(parsed.config.workers, opts.workers);
+        assert_eq!(parsed.config.batch.max_batch, 16);
+        assert_eq!(parsed.config.batch.max_wait_us, opts.max_wait_us);
+        assert_eq!(parsed.session_dir, opts.session_dir);
+        assert!(opts.worker_plan(3).is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@ use rand::SeedableRng;
 use metadse_mlkit::metrics::{geometric_mean, mean, std_dev};
 use metadse_mlkit::wasserstein::distance_matrix;
 use metadse_mlkit::{GradientBoosting, RandomForest, Regressor};
+use metadse_nn::format::{fnv1a, ByteWriter};
 use metadse_nn::layers::Module;
+use metadse_nn::serialize::params_to_bytes;
 use metadse_sim::{ConfigPoint, DesignSpace, Elem, Simulator};
 use metadse_workloads::{Dataset, Metric, Sample, SpecWorkload, TaskSampler, WorkloadSplit};
 
@@ -230,12 +232,49 @@ impl Environment {
     }
 }
 
+/// The file `pretrain_metadse` caches `model`'s pre-trained parameters
+/// in under `METADSE_CACHE`, named by an FNV-1a hash of everything
+/// pre-training reads: the model's initial parameters (geometry and
+/// seed), the MAML settings, the metric, the workload split, and every
+/// feature and label bit of every dataset. A simulator change or a new
+/// environment seed therefore misses the cache instead of loading a
+/// stale model.
+fn pretrain_cache_path(
+    env: &Environment,
+    model: &TransformerPredictor,
+    metric: Metric,
+    maml: &MamlConfig,
+) -> std::path::PathBuf {
+    // The thread count never changes the trained parameters
+    // (parallelism is bit-identical), and checkpoint/resume is
+    // bit-identical to an uninterrupted run, so neither may change the
+    // key.
+    let key_maml = MamlConfig {
+        parallel: ParallelConfig::default(),
+        checkpoint: None,
+        ..maml.clone()
+    };
+    let mut key = ByteWriter::new();
+    key.str(&format!("{key_maml:?}|{metric:?}|{:?}", env.split));
+    key.bytes(&params_to_bytes(&model.params()));
+    for dataset in env.datasets.values() {
+        for sample in dataset.samples() {
+            key.f64_slice(&sample.features);
+            key.f64(sample.ipc);
+            key.f64(sample.power_w);
+        }
+    }
+    std::path::Path::new("results")
+        .join("checkpoints")
+        .join(format!("pretrain-{:016x}.ckpt", fnv1a(&key.into_bytes())))
+}
+
 /// Pre-trains a MetaDSE predictor on the environment's training split and
 /// builds its WAM mask. Returns `(model, mask)`.
 ///
 /// When the `METADSE_CACHE` environment variable is set, pre-trained
-/// parameters are checkpointed under `results/checkpoints/` keyed by the
-/// full experimental configuration, so repeated harness runs skip the
+/// parameters are checkpointed under `results/checkpoints/`, keyed by
+/// the content pre-training reads, so repeated harness runs skip the
 /// meta-training cost.
 pub fn pretrain_metadse(
     env: &Environment,
@@ -245,33 +284,9 @@ pub fn pretrain_metadse(
 ) -> (TransformerPredictor, metadse_nn::layers::Param) {
     let _span = obs::span("experiment/pretrain");
     let model = TransformerPredictor::new(scale.predictor, scale.seed);
-
-    let cache_path = std::env::var("METADSE_CACHE").ok().map(|_| {
-        // Bump CACHE_VERSION whenever the simulator or model architecture
-        // changes in a way that invalidates previously trained parameters.
-        const CACHE_VERSION: u32 = 1;
-        // The thread count never changes the trained parameters
-        // (parallelism is bit-identical), and checkpoint/resume is
-        // bit-identical to an uninterrupted run, so neither may change
-        // the key.
-        let key_maml = MamlConfig {
-            parallel: ParallelConfig::default(),
-            checkpoint: None,
-            ..maml.clone()
-        };
-        let key = format!(
-            "v{CACHE_VERSION}|{:?}|{:?}|{:?}|{}|{}|{:?}",
-            key_maml, scale.predictor, metric, scale.samples_per_workload, scale.seed, env.split
-        );
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for b in key.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        std::path::Path::new("results")
-            .join("checkpoints")
-            .join(format!("pretrain-{hash:016x}.ckpt"))
-    });
+    let cache_path = std::env::var("METADSE_CACHE")
+        .ok()
+        .map(|_| pretrain_cache_path(env, &model, metric, maml));
 
     let loaded = cache_path.as_ref().is_some_and(|p| {
         p.exists() && metadse_nn::serialize::load_params(&model.params(), p).is_ok()
@@ -728,6 +743,29 @@ mod tests {
         let scale = Scale::quick();
         let env = Environment::build(&scale, 3);
         (env, scale)
+    }
+
+    /// The pretrain cache key follows the data: a rebuilt identical
+    /// environment keeps its path, while another seed or one changed
+    /// label moves it.
+    #[test]
+    fn pretrain_cache_path_is_keyed_by_content() {
+        let scale = Scale {
+            samples_per_workload: 8,
+            ..Scale::quick()
+        };
+        let model = TransformerPredictor::new(scale.predictor, scale.seed);
+        let path = |env: &Environment| pretrain_cache_path(env, &model, Metric::Ipc, &scale.maml);
+        let env = Environment::build(&scale, 21);
+        assert_eq!(path(&Environment::build(&scale, 21)), path(&env));
+        assert_ne!(path(&Environment::build(&scale, 22)), path(&env));
+
+        let mut relabeled = env.clone();
+        let dataset = relabeled.datasets.values_mut().next().unwrap();
+        let mut samples = dataset.samples().to_vec();
+        samples[0].ipc += 1e-9;
+        *dataset = Dataset::from_samples(dataset.workload_name(), samples);
+        assert_ne!(path(&relabeled), path(&env));
     }
 
     #[test]

@@ -45,12 +45,18 @@ const MAGIC: &[u8; 8] = b"MDSESRVM";
 const VERSION: u32 = 1;
 
 /// A trained predictor (and optional WAM mask) as plain portable data.
+///
+/// The fields are private: an artifact exists only through
+/// [`capture`](ServablePredictor::capture) or
+/// [`from_bytes`](ServablePredictor::from_bytes), so its fingerprint
+/// always matches its content, and every artifact a process serves is
+/// one a restarted process can load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServablePredictor {
     /// Predictor geometry.
-    pub config: PredictorConfig,
+    config: PredictorConfig,
     /// Metric the model predicts (free-form label, e.g. `"ipc"`).
-    pub metric: String,
+    metric: String,
     /// Parameter payload in the `metadse-nn` checkpoint wire format.
     params: Vec<u8>,
     /// WAM mask values (`num_params × num_params`), if captured.
@@ -97,6 +103,16 @@ impl ServablePredictor {
         self.fingerprint
     }
 
+    /// The predictor geometry.
+    pub fn config(&self) -> &PredictorConfig {
+        &self.config
+    }
+
+    /// The metric label the model predicts (e.g. `"ipc"`).
+    pub fn metric(&self) -> &str {
+        &self.metric
+    }
+
     /// Whether a WAM mask was captured.
     pub fn has_mask(&self) -> bool {
         self.mask.is_some()
@@ -130,14 +146,9 @@ impl ServablePredictor {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] if the embedded parameter payload does
-    /// not match the captured geometry (possible only for hand-built
-    /// artifacts; capture/decode both validate).
-    ///
-    /// # Panics
-    ///
-    /// Panics, as [`TransformerPredictor::new`] does, on a geometry
-    /// [`PredictorConfig::validate`] rejects — possible only when `config`
-    /// was edited after capture, since decode runs that check.
+    /// not match the declared geometry (possible only for hand-built
+    /// bytes: decode checks the geometry and the payload's format, not
+    /// that the two agree).
     pub fn instantiate(&self) -> Result<TransformerPredictor, CheckpointError> {
         let model = TransformerPredictor::new(self.config, 0);
         load_params_from_bytes(&model.params(), &self.params)?;

@@ -1,7 +1,7 @@
 //! CART regression tree.
 //!
 //! Fitting sorts each feature once per fit, not at every node:
-//! [`RankedColumns`] pairs every value with its dense rank under
+//! `RankedColumns` pairs every value with its dense rank under
 //! `f64::total_cmp`, and a node orders its rows for a feature by
 //! `(rank, row)` with a stable counting sort on rank. A node's rows are
 //! kept ascending, so `(rank, row)` is exactly the order a stable

@@ -40,6 +40,14 @@ impl std::fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+impl From<FormatError> for std::io::Error {
+    /// Malformed bytes read off a socket are `InvalidData`, like any
+    /// other undecodable frame.
+    fn from(e: FormatError) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
 /// Little-endian binary encoder over a growable buffer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -60,6 +68,11 @@ impl ByteWriter {
     /// Appends raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+    }
+
+    /// Appends a `u8`.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 
     /// Appends a `u32`.
@@ -134,6 +147,11 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, FormatError> {
+        Ok(self.take(1)?[0])
+    }
+
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, FormatError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
@@ -142,6 +160,21 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, FormatError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// Reads a `u32` element count, rejecting it when `count ×
+    /// elem_bytes` exceeds the bytes left. `elem_bytes` is the least an
+    /// element can occupy, so a corrupt count fails here instead of
+    /// sizing an allocation.
+    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, FormatError> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(elem_bytes) > self.remaining() {
+            return Err(FormatError(format!(
+                "truncated input: {count} elements of at least {elem_bytes} bytes exceed {} remaining bytes",
+                self.remaining()
+            )));
+        }
+        Ok(count)
     }
 
     /// Reads an `f64` bit pattern.
@@ -243,6 +276,7 @@ mod tests {
 
     fn sample_payload() -> Vec<u8> {
         let mut w = ByteWriter::new();
+        w.u8(0xAB);
         w.u32(7);
         w.u64(u64::MAX);
         w.str("layer.weight");
@@ -255,6 +289,7 @@ mod tests {
     fn writer_reader_roundtrip_is_exact() {
         let bytes = sample_payload();
         let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 0xAB);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.str().unwrap(), "layer.weight");
@@ -316,5 +351,14 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(ByteReader::new(&bytes).f64_vec().is_err());
         assert!(ByteReader::new(&bytes).f64_vecs().is_err());
+        // A u32 count of 4-byte elements must fit the bytes after it.
+        let mut w = ByteWriter::new();
+        w.u32(2);
+        w.u32(0);
+        w.u32(0);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).count(4), Ok(2));
+        assert!(ByteReader::new(&bytes).count(5).is_err());
+        assert!(ByteReader::new(&u32::MAX.to_le_bytes()).count(1).is_err());
     }
 }

@@ -18,7 +18,7 @@
 //!   learning-rate schedule ([`optim::CosineAnnealing`]),
 //! * losses, initializers, parameter and optimizer-state (de)serialization
 //!   over a versioned, checksummed container with atomic writes
-//!   ([`format`]), and a numerical gradient checker used extensively by
+//!   ([`format`](mod@format)), and a numerical gradient checker used extensively by
 //!   the test-suite.
 //!
 //! # Example

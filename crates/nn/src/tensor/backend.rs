@@ -7,14 +7,14 @@
 //! The packed matmul, the fused transformer kernels, and the `sum_to`
 //! reductions all bottom out in a handful of primitive loops: dot products,
 //! row-block dot products, plain/squared sums, and a few fusable
-//! elementwise passes. Routing those primitives through a [`Backend`]
+//! elementwise passes. Routing those primitives through a `Backend`
 //! object gives two properties at once:
 //!
 //! * **per-backend bit-determinism** — each backend fixes its accumulation
 //!   orders once, and both the fused kernels *and* the composite tensor-op
 //!   paths call the same primitives, so the fused-vs-composite and
 //!   thread-count bit-identity contracts hold under either backend;
-//! * **a real SIMD speed path** — [`SimdBackend`] evaluates every
+//! * **a real SIMD speed path** — `SimdBackend` evaluates every
 //!   reduction in 8 independent lanes (element `i` feeds lane `i % 8`)
 //!   with a fixed horizontal combine tree, written as plain per-lane
 //!   array arithmetic that LLVM lowers to vector instructions. On x86-64
@@ -37,10 +37,10 @@
 //!
 //! ## Numerics policy
 //!
-//! [`ScalarBackend`] reproduces the historical kernels exactly: every
+//! `ScalarBackend` reproduces the historical kernels exactly: every
 //! reduction is one accumulator filled in ascending index order, so the
 //! scalar backend is bit-for-bit the pre-backend implementation and keeps
-//! its original pinned digest. [`SimdBackend`] changes only the
+//! its original pinned digest. `SimdBackend` changes only the
 //! *association* of sums (8 partial accumulators + a fixed combine tree),
 //! never the set of rounded operations per term, so scalar-vs-SIMD
 //! differences obey the standard reassociation bound

@@ -67,7 +67,7 @@ impl Chunk {
 ///
 /// * the first element sits on a [`BUF_ALIGN`]-byte boundary, so SIMD
 ///   kernels can assume full-width aligned rows for contiguous buffers;
-/// * a non-empty `Buf`'s element capacity is a power of two (≥ [`CHUNK`]),
+/// * a non-empty `Buf`'s element capacity is a power of two (≥ `CHUNK`),
 ///   so the recycling pool can bucket it without inspection.
 #[derive(Default)]
 pub struct Buf {

@@ -1,11 +1,12 @@
-//! Hermetic introspection transport: a unix-socket listener speaking a
-//! hand-rolled length-prefixed frame protocol, plus the matching client.
+//! The introspection protocol: a unix-socket endpoint answering
+//! UTF-8 commands over the shared frame transport, plus the matching
+//! client.
 //!
 //! No external dependencies, no HTTP: the workspace's hermetic-build
 //! constraint rules out hyper/axum, and the consumers (CI smoke steps,
 //! soak tests, the `metadse-introspect` bin) only need request/response
-//! over a local socket. Framing comes from the shared [`crate::frame`]
-//! codec; the protocol on top of it is deliberately tiny:
+//! over a local socket. Framing and the server come from
+//! [`crate::frame`]; the protocol on top of them is deliberately tiny:
 //!
 //! ```text
 //! frame    := len:u32-le payload:[len bytes]          (len ≤ 1 MiB)
@@ -13,27 +14,24 @@
 //! response := frame of "ok\n<body>" or "err\n<message>"
 //! ```
 //!
-//! One request frame per connection round-trip; connections may be
-//! reused for further round-trips or dropped at will. The listener is a
-//! plain thread in a nonblocking accept loop with a stop flag — no
-//! async runtime — sized for a handful of probes per second, not for
-//! request traffic (the serving data path never goes through it).
+//! One request frame per round-trip; connections may be reused for
+//! further round-trips or dropped at will. [`serve_unix`] runs on the
+//! same [`FrameServer`] as the serving data sockets, so introspection
+//! connections are concurrent like data connections: a probe holding
+//! its connection open never delays another probe. The endpoint is
+//! sized for a handful of probes per second, not for request traffic
+//! (the serving data path never goes through it).
 //!
 //! This module is transport only. What the commands *mean* is decided
 //! by the embedding server through the [`Respond`] trait; the obs crate
 //! stays ignorant of serving concepts.
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(unix)]
 use std::sync::Arc;
-use std::time::Duration;
 
-// The frame codec lives in [`crate::frame`] (it is shared with the
-// serving shard protocol); re-exported here so existing
-// `obs::introspect::{read_frame, write_frame, MAX_FRAME}` callers keep
-// compiling unchanged.
-pub use crate::frame::{read_frame, write_frame, MAX_FRAME};
+#[cfg(unix)]
+use crate::frame::FrameServer;
 
 /// One introspection reply: success flag plus a UTF-8 body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,8 +91,9 @@ impl Response {
     }
 }
 
-/// Command handler plugged into a [`Listener`]. Implementations must be
-/// cheap and non-blocking — they run on the single listener thread.
+/// Command handler plugged into [`serve_unix`]. Implementations must be
+/// cheap and non-blocking: each connection's thread calls them, and
+/// several connections may call them at once.
 pub trait Respond: Send + Sync + 'static {
     /// Answers one command (the request frame's UTF-8 payload).
     fn respond(&self, command: &str) -> Response;
@@ -109,130 +108,42 @@ where
     }
 }
 
+/// Binds `path` and serves `responder` on a [`FrameServer`], one
+/// thread per connection.
+///
+/// A stale socket file at `path` is removed first (unix sockets do not
+/// unlink themselves when their process dies).
+///
+/// # Errors
+///
+/// Returns any bind error.
 #[cfg(unix)]
-pub use unix_impl::{query, serve_unix, Listener};
+pub fn serve_unix(path: &std::path::Path, responder: Arc<dyn Respond>) -> io::Result<FrameServer> {
+    FrameServer::bind(path, "metadse-introspect", move |request: &[u8]| {
+        let response = match std::str::from_utf8(request) {
+            Ok(command) => responder.respond(command.trim()),
+            Err(_) => Response::err("request is not UTF-8"),
+        };
+        Ok(response.encode())
+    })
+}
 
+/// One client round-trip: connect to `path`, send `command`, read the
+/// reply.
+///
+/// # Errors
+///
+/// Returns connection, frame, or decode errors.
 #[cfg(unix)]
-mod unix_impl {
-    use super::*;
-    use std::os::unix::net::{UnixListener, UnixStream};
+pub fn query(path: &std::path::Path, command: &str) -> io::Result<Response> {
+    use crate::frame::{read_frame, write_frame};
+    use std::time::Duration;
 
-    /// How long the accept loop sleeps when idle, and the per-stream
-    /// read timeout bounding how long one slow client can hold the
-    /// listener thread.
-    const POLL_INTERVAL: Duration = Duration::from_millis(1);
-    const CLIENT_TIMEOUT: Duration = Duration::from_millis(500);
-
-    /// A running introspection listener. Dropping it (or calling
-    /// [`shutdown`](Listener::shutdown)) stops the thread and removes
-    /// the socket file.
-    pub struct Listener {
-        path: PathBuf,
-        stop: Arc<AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl std::fmt::Debug for Listener {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Listener")
-                .field("path", &self.path)
-                .finish()
-        }
-    }
-
-    impl Listener {
-        /// The socket path this listener is bound to.
-        pub fn path(&self) -> &Path {
-            &self.path
-        }
-
-        /// Stops the accept loop, joins the thread, and removes the
-        /// socket file. Idempotent.
-        pub fn shutdown(&mut self) {
-            self.stop.store(true, Ordering::Release);
-            if let Some(t) = self.thread.take() {
-                let _ = t.join();
-            }
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-
-    impl Drop for Listener {
-        fn drop(&mut self) {
-            self.shutdown();
-        }
-    }
-
-    /// Binds `path` and serves `responder` on a background thread.
-    ///
-    /// A stale socket file at `path` is removed first (unix sockets do
-    /// not unlink themselves when their process dies).
-    ///
-    /// # Errors
-    ///
-    /// Returns any bind error.
-    pub fn serve_unix(path: &Path, responder: Arc<dyn Respond>) -> io::Result<Listener> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("metadse-introspect".to_string())
-            .spawn(move || accept_loop(&listener, &responder, &stop_flag))?;
-        Ok(Listener {
-            path: path.to_path_buf(),
-            stop,
-            thread: Some(thread),
-        })
-    }
-
-    fn accept_loop(listener: &UnixListener, responder: &Arc<dyn Respond>, stop: &AtomicBool) {
-        while !stop.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => serve_client(stream, responder, stop),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                // Transient accept errors (e.g. ECONNABORTED) — keep going.
-                Err(_) => std::thread::sleep(POLL_INTERVAL),
-            }
-        }
-    }
-
-    fn serve_client(mut stream: UnixStream, responder: &Arc<dyn Respond>, stop: &AtomicBool) {
-        let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
-        // Serve round-trips until the client hangs up, errors, times
-        // out, or the listener is asked to stop.
-        while !stop.load(Ordering::Acquire) {
-            let request = match read_frame(&mut stream) {
-                Ok(payload) => payload,
-                Err(_) => return,
-            };
-            let response = match std::str::from_utf8(&request) {
-                Ok(command) => responder.respond(command.trim()),
-                Err(_) => Response::err("request is not UTF-8"),
-            };
-            if write_frame(&mut stream, &response.encode()).is_err() {
-                return;
-            }
-        }
-    }
-
-    /// One client round-trip: connect to `path`, send `command`, read
-    /// the reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection, frame, or decode errors.
-    pub fn query(path: &Path, command: &str) -> io::Result<Response> {
-        let mut stream = UnixStream::connect(path)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-        write_frame(&mut stream, command.as_bytes())?;
-        Response::decode(&read_frame(&mut stream)?)
-    }
+    let mut stream = std::os::unix::net::UnixStream::connect(path)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+    write_frame(&mut stream, command.as_bytes())?;
+    Response::decode(&read_frame(&mut stream)?)
 }
 
 #[cfg(test)]
@@ -275,5 +186,75 @@ mod tests {
         assert!(!sock.exists());
         assert!(query(&sock, "ping").is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    fn ping_endpoint(tag: &str) -> (std::path::PathBuf, FrameServer) {
+        let dir =
+            std::env::temp_dir().join(format!("metadse-introspect-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("t.sock");
+        let server = serve_unix(&sock, Arc::new(|_: &str| Response::ok("pong"))).unwrap();
+        (sock, server)
+    }
+
+    /// One round-trip on an already open connection.
+    #[cfg(unix)]
+    fn ping(stream: &mut std::os::unix::net::UnixStream) -> io::Result<Response> {
+        crate::frame::write_frame(stream, b"ping")?;
+        Response::decode(&crate::frame::read_frame(stream)?)
+    }
+
+    /// A client that keeps its connection busy does not hold the
+    /// endpoint: a second client's query is answered meanwhile.
+    #[cfg(unix)]
+    #[test]
+    fn second_client_is_answered_while_first_keeps_querying() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let (sock, mut server) = ping_endpoint("concurrent");
+        let done = Arc::new(AtomicBool::new(false));
+        let (connected, first_ready) = std::sync::mpsc::channel();
+        let busy = {
+            let (sock, done) = (sock.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut stream = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+                assert!(ping(&mut stream).unwrap().ok);
+                connected.send(()).unwrap();
+                let mut round_trips = 1u64;
+                while !done.load(Ordering::Acquire) {
+                    assert!(ping(&mut stream).unwrap().ok);
+                    round_trips += 1;
+                }
+                round_trips
+            })
+        };
+        first_ready.recv().unwrap();
+        let reply = query(&sock, "ping").expect("second client answered");
+        assert_eq!(reply, Response::ok("pong"));
+        done.store(true, Ordering::Release);
+        assert!(busy.join().unwrap() > 1, "the first client kept querying");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(sock.parent().unwrap());
+    }
+
+    /// Shutdown joins a handler whose client holds an idle connection
+    /// within a few idle polls.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_is_prompt_while_a_client_idles() {
+        let (sock, mut server) = ping_endpoint("idle");
+        let mut idle = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+        assert!(ping(&mut idle).unwrap().ok);
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        assert!(!sock.exists());
+        drop(idle);
+        let _ = std::fs::remove_dir_all(sock.parent().unwrap());
     }
 }

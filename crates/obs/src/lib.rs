@@ -5,8 +5,9 @@
 //! lock-light metrics registry (counters, gauges, fixed log-scale-bucket
 //! histograms), JSON-lines trace export, and a human-readable end-of-run
 //! summary. A shared [`report`] sink gives every harness binary one place
-//! to print through, and [`atomic_write`] is the workspace's one durable
-//! file write (it sits here because this is the lowest crate).
+//! to print through, [`atomic_write`] is the workspace's one durable
+//! file write, and [`frame::FrameServer`] its one socket server (both
+//! sit here because this is the lowest crate).
 //!
 //! ## Zero overhead by construction
 //!

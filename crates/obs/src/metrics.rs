@@ -13,65 +13,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-// The bucket layout is shared with the always-compiled rolling-window
-// module so windowed and lifetime histograms bucket identically.
+// The histogram cells and bucket layout are the always-compiled
+// rolling-window module's, so windowed and lifetime histograms bucket
+// identically.
+use crate::window::{bucket_hi, bucket_lo, Hist};
 #[cfg(test)]
-pub(crate) use crate::window::HIST_MIN_EXP;
-pub(crate) use crate::window::{bucket_hi, bucket_index, bucket_lo, HIST_BUCKETS};
-
-/// Histogram storage: per-bucket hit counts plus streaming count / sum /
-/// min / max, all lock-free.
-pub(crate) struct Hist {
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Hist {
-    fn new() -> Hist {
-        Hist {
-            counts: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    fn record(&self, value: f64) {
-        self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_update(&self.sum_bits, |s| s + value);
-        atomic_f64_update(&self.min_bits, |m| m.min(value));
-        atomic_f64_update(&self.max_bits, |m| m.max(value));
-    }
-
-    fn zero(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0.0f64.to_bits(), Ordering::Relaxed);
-        self.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// CAS loop applying `f` to an `f64` stored as bits in an `AtomicU64`.
-fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f(f64::from_bits(current)).to_bits();
-        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => current = observed,
-        }
-    }
-}
+use crate::window::{bucket_index, HIST_BUCKETS, HIST_MIN_EXP};
 
 /// One registered metric.
 pub(crate) enum Metric {
@@ -194,18 +141,8 @@ impl HistogramSnapshot {
     /// Approximate quantile from the bucket edges: the lower edge of the
     /// bucket holding the `q`-th sample (clamped by observed min/max).
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(lo, _, hits) in &self.buckets {
-            seen += hits;
-            if seen >= rank {
-                return lo.clamp(self.min.min(self.max), self.max.max(self.min));
-            }
-        }
-        self.max
+        let buckets = self.buckets.iter().map(|&(lo, _, hits)| (lo, hits));
+        crate::window::bucket_quantile(q, self.count, self.min, self.max, buckets)
     }
 
     /// Mean of all recorded samples.

@@ -6,9 +6,10 @@
 //! The process-lifetime histograms in the metrics registry answer "what
 //! happened since start"; a serving process needs "what is happening
 //! *now*". This module provides that view: a [`WindowHistogram`] is a
-//! ring of [`SLOTS`]-style slots (default 12 × 5 s), each an independent
-//! 96-bucket log2 histogram identical in layout to the registry's
-//! [`Hist`](crate)'s buckets, rotated lazily by whoever records or reads.
+//! ring of slots (default 12 × 5 s, see [`WindowConfig`]), each an
+//! independent 96-bucket log2 histogram — the same atomics the
+//! registry's lifetime histograms use — rotated lazily by whoever
+//! records or reads.
 //! A [`snapshot`](WindowHistogram::snapshot) merges the slots covering
 //! the trailing window into one [`WindowSnapshot`], whose quantiles are
 //! therefore live p50/p99 over (by default) the last minute rather than
@@ -131,21 +132,21 @@ fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
     }
 }
 
-/// One ring slot of a [`WindowHistogram`]: a full log2 histogram plus
-/// the slot sequence it currently holds samples for.
-struct HistSlot {
-    seq: AtomicU64,
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
+/// A log2 histogram of atomics: per-bucket hit counts plus streaming
+/// count / sum / min / max, all lock-free. The registry's lifetime
+/// histograms and every ring slot of a [`WindowHistogram`] are one of
+/// these, so the two views bucket identically.
+pub(crate) struct Hist {
+    pub(crate) counts: Vec<AtomicU64>,
+    pub(crate) count: AtomicU64,
+    pub(crate) sum_bits: AtomicU64,
+    pub(crate) min_bits: AtomicU64,
+    pub(crate) max_bits: AtomicU64,
 }
 
-impl HistSlot {
-    fn new() -> HistSlot {
-        HistSlot {
-            seq: AtomicU64::new(SEQ_EMPTY),
+impl Hist {
+    pub(crate) fn new() -> Hist {
+        Hist {
             counts: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0.0f64.to_bits()),
@@ -154,7 +155,15 @@ impl HistSlot {
         }
     }
 
-    fn zero(&self) {
+    pub(crate) fn record(&self, value: f64) {
+        self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        atomic_f64_update(&self.sum_bits, |s| s + value);
+        atomic_f64_update(&self.min_bits, |m| m.min(value));
+        atomic_f64_update(&self.max_bits, |m| m.max(value));
+    }
+
+    pub(crate) fn zero(&self) {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
         }
@@ -165,14 +174,38 @@ impl HistSlot {
         self.max_bits
             .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
     }
+}
 
-    fn record(&self, value: f64) {
-        self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_update(&self.sum_bits, |s| s + value);
-        atomic_f64_update(&self.min_bits, |m| m.min(value));
-        atomic_f64_update(&self.max_bits, |m| m.max(value));
+/// Approximate quantile from bucket edges: the lower edge of the bucket
+/// holding the `q`-th of `count` samples, clamped by the observed
+/// `min`/`max`. `buckets` yields `(lower edge, hits)` in ascending
+/// order. Monotone in `q` by construction (the walk only advances).
+pub(crate) fn bucket_quantile(
+    q: f64,
+    count: u64,
+    min: f64,
+    max: f64,
+    buckets: impl IntoIterator<Item = (f64, u64)>,
+) -> f64 {
+    if count == 0 {
+        return 0.0;
     }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (lo, hits) in buckets {
+        seen += hits;
+        if hits > 0 && seen >= rank {
+            return lo.clamp(min.min(max), max.max(min));
+        }
+    }
+    max
+}
+
+/// One ring slot of a [`WindowHistogram`]: a histogram plus the slot
+/// sequence it currently holds samples for.
+struct HistSlot {
+    seq: AtomicU64,
+    hist: Hist,
 }
 
 /// A rolling-window log2 histogram: concurrent recorders, lazy rotation.
@@ -204,7 +237,12 @@ impl WindowHistogram {
     pub fn new(config: WindowConfig) -> WindowHistogram {
         let config = config.normalized();
         WindowHistogram {
-            slots: (0..config.slots).map(|_| HistSlot::new()).collect(),
+            slots: (0..config.slots)
+                .map(|_| HistSlot {
+                    seq: AtomicU64::new(SEQ_EMPTY),
+                    hist: Hist::new(),
+                })
+                .collect(),
             rotate: Mutex::new(()),
             stale: AtomicU64::new(0),
             config,
@@ -230,7 +268,7 @@ impl WindowHistogram {
         loop {
             let current = slot.seq.load(Ordering::Acquire);
             if current == seq {
-                slot.record(value);
+                slot.hist.record(value);
                 return true;
             }
             if current != SEQ_EMPTY && current > seq {
@@ -243,7 +281,7 @@ impl WindowHistogram {
             let _guard = self.rotate.lock().expect("window rotation poisoned");
             let rechecked = slot.seq.load(Ordering::Acquire);
             if rechecked == current {
-                slot.zero();
+                slot.hist.zero();
                 slot.seq.store(seq, Ordering::Release);
             }
         }
@@ -261,17 +299,18 @@ impl WindowHistogram {
             if seq == SEQ_EMPTY || seq < seq_lo || seq > seq_now {
                 continue;
             }
-            for (i, c) in slot.counts.iter().enumerate() {
+            let hist = &slot.hist;
+            for (i, c) in hist.counts.iter().enumerate() {
                 snap.buckets[i] += c.load(Ordering::Relaxed);
             }
-            snap.count += slot.count.load(Ordering::Relaxed);
-            snap.sum += f64::from_bits(slot.sum_bits.load(Ordering::Relaxed));
+            snap.count += hist.count.load(Ordering::Relaxed);
+            snap.sum += f64::from_bits(hist.sum_bits.load(Ordering::Relaxed));
             snap.min = snap
                 .min
-                .min(f64::from_bits(slot.min_bits.load(Ordering::Relaxed)));
+                .min(f64::from_bits(hist.min_bits.load(Ordering::Relaxed)));
             snap.max = snap
                 .max
-                .max(f64::from_bits(slot.max_bits.load(Ordering::Relaxed)));
+                .max(f64::from_bits(hist.max_bits.load(Ordering::Relaxed)));
         }
         snap
     }
@@ -336,18 +375,14 @@ impl WindowSnapshot {
     /// bucket holding the `q`-th sample, clamped by observed min/max.
     /// Monotone in `q` by construction (the bucket walk only advances).
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &hits) in self.buckets.iter().enumerate() {
-            seen += hits;
-            if hits > 0 && seen >= rank {
-                return bucket_lo(i).clamp(self.min.min(self.max), self.max.max(self.min));
-            }
-        }
-        self.max
+        let buckets = self.buckets.iter().enumerate();
+        bucket_quantile(
+            q,
+            self.count,
+            self.min,
+            self.max,
+            buckets.map(|(i, &hits)| (bucket_lo(i), hits)),
+        )
     }
 
     /// Mean of the samples in the window (0 while empty).

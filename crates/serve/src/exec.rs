@@ -9,7 +9,7 @@
 //! accumulation orders bit-for-bit; see the module docs in
 //! [`crate::plan`] for the contract.
 //!
-//! The only `unsafe` here is [`views_mut`], which splits one arena slab
+//! The only `unsafe` here is `views_mut`, which splits one arena slab
 //! into the disjoint per-op views the borrow checker cannot prove
 //! disjoint itself; every call asserts pairwise disjointness and
 //! bounds, and the plan compiler's liveness allocator guarantees an

@@ -1,8 +1,9 @@
 //! The serving front door: the one process DSE clients talk to.
 //!
-//! A [`Front`] binds a unix socket speaking the same binary protocol as
-//! the shards ([`crate::shard`]) and routes every predict request to
-//! the worker process owning its workload's artifact. Routing is a
+//! A [`Front`] serves a unix socket on the workspace's frame server
+//! ([`FrameServer`], one thread per connection), speaks the same binary
+//! protocol as the shards ([`crate::shard`]), and routes every request
+//! to the worker process owning its workload's artifact. Routing is a
 //! table `workload → shard index` built by asking each shard what it
 //! serves (the shards derived their partitions from the deterministic
 //! [`metadse::shard::shard_of`] assignment, so the table is consistent
@@ -30,19 +31,19 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use metadse_obs as obs;
-use metadse_obs::frame::write_frame;
+use metadse_obs::frame::FrameServer;
 use metadse_obs::introspect::{Respond, Response};
 
 use crate::shard::{
-    intro_socket, read_frame_or_stop, round_trip, ErrorCode, ShardError, ShardReply, ShardRequest,
-    WirePrediction, WorkloadInfo, IDLE_POLL,
+    answer, intro_socket, round_trip, ErrorCode, ShardError, ShardReply, ShardRequest,
+    WirePrediction, WorkloadInfo,
 };
 
 /// Front-door configuration.
@@ -354,11 +355,9 @@ impl Respond for FrontResponder {
 /// A running front-door process. Drop (or [`shutdown`](Front::shutdown))
 /// stops the listeners.
 pub struct Front {
-    socket: PathBuf,
     core: Arc<FrontCore>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    _intro: obs::introspect::Listener,
+    data: FrameServer,
+    _intro: FrameServer,
 }
 
 impl Front {
@@ -397,16 +396,10 @@ impl Front {
             core: Arc::clone(&core),
         });
         let intro = obs::introspect::serve_unix(&intro_socket(&config.socket), responder)?;
-
-        let _ = std::fs::remove_file(&config.socket);
-        let listener = UnixListener::bind(&config.socket)?;
-        listener.set_nonblocking(true)?;
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept_core = Arc::clone(&core);
-        let accept_conns = Arc::clone(&conn_threads);
-        let accept_thread = std::thread::Builder::new()
-            .name("metadse-front".to_string())
-            .spawn(move || accept_loop(&listener, &accept_core, &accept_conns))?;
+        let handler_core = Arc::clone(&core);
+        let data = FrameServer::bind(&config.socket, "metadse-front", move |payload: &[u8]| {
+            answer(payload, |request| handler_core.handle(request))
+        })?;
 
         obs::report::line(format!(
             "front: {} shard(s), {} workload(s) routed, listening on {}",
@@ -415,17 +408,15 @@ impl Front {
             config.socket.display()
         ));
         Ok(Front {
-            socket: config.socket,
             core,
-            accept_thread: Some(accept_thread),
-            conn_threads,
+            data,
             _intro: intro,
         })
     }
 
     /// The client-socket path.
     pub fn socket(&self) -> &Path {
-        &self.socket
+        self.data.path()
     }
 
     /// Lifetime counters.
@@ -448,66 +439,13 @@ impl Front {
 
     fn close(&mut self) {
         self.core.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
-        let _ = std::fs::remove_file(&self.socket);
+        self.data.shutdown();
     }
 }
 
 impl Drop for Front {
     fn drop(&mut self) {
         self.close();
-    }
-}
-
-fn accept_loop(
-    listener: &UnixListener,
-    core: &Arc<FrontCore>,
-    conns: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) {
-    const POLL: Duration = Duration::from_millis(1);
-    while !core.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let core = Arc::clone(core);
-                if let Ok(handle) =
-                    std::thread::Builder::new().spawn(move || serve_connection(stream, &core))
-                {
-                    let mut guard = conns.lock().unwrap();
-                    guard.retain(|h| !h.is_finished());
-                    guard.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn serve_connection(mut stream: UnixStream, core: &FrontCore) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    loop {
-        let payload = match read_frame_or_stop(&mut stream, &core.stop) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
-        };
-        let reply = match ShardRequest::decode(&payload) {
-            Ok(request) => core.handle(request),
-            Err(e) => ShardReply::Error(ShardError::new(
-                ErrorCode::BadRequest,
-                format!("bad request frame: {e}"),
-            )),
-        };
-        let Ok(encoded) = reply.encode() else { return };
-        if write_frame(&mut stream, &encoded).is_err() {
-            return;
-        }
     }
 }
 

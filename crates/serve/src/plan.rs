@@ -5,7 +5,7 @@
 //! — graph-node allocation, shape re-derivation, per-forward weight
 //! packing, pool churn — can be compiled away once. [`Plan::compile`]
 //! lowers an artifact into a flat sequence of ten shape-specialized ops
-//! ([`Op`]) over preallocated arena buffers:
+//! (`Op`) over preallocated arena buffers:
 //!
 //! ```text
 //! Embed → { LayerNorm → Linear×3 → SplitHeads×3 → AttnScores →
@@ -33,7 +33,7 @@
 //! memory). The only per-forward decisions left are the ones that are
 //! *data-dependent by contract*: each matmul's sparse/dense path choice
 //! counts zeros at run time with the same
-//! [`prims::SPARSE_ZERO_FRACTION`] threshold the tensor kernel uses.
+//! [`metadse_nn::prims::SPARSE_ZERO_FRACTION`] threshold the tensor kernel uses.
 //!
 //! **Bit-exactness.** Plan execution ([`Plan::run`], in
 //! [`crate::exec`]) dispatches onto the same backend primitives as the
@@ -92,10 +92,10 @@ impl BufSpec {
     }
 }
 
-/// Number of [`Op`] kinds (the IR's op set).
+/// Number of `Op` kinds (the IR's op set).
 pub const OP_KINDS: usize = 10;
 
-/// Display names for each op kind, indexed by [`Op::kind`]; the label
+/// Display names for each op kind, indexed by `Op::kind`; the label
 /// vocabulary of the per-op attribution counters
 /// (`serve/plan_op/<name>_us`).
 pub const OP_KIND_NAMES: [&str; OP_KINDS] = [
@@ -275,7 +275,7 @@ impl Plan {
     /// only for hand-built artifacts (decoded ones are validated).
     pub fn compile(servable: &ServablePredictor, capacity: usize) -> Result<Plan, CheckpointError> {
         let capacity = capacity.max(1);
-        let cfg: PredictorConfig = servable.config;
+        let cfg: PredictorConfig = *servable.config();
         let (s, d, h, f, hh) = (
             cfg.num_params,
             cfg.d_model,

@@ -242,7 +242,7 @@ pub struct Server {
     shared: Arc<Shared>,
     pool: Option<WorkerPool>,
     #[cfg(unix)]
-    listener: Option<obs::introspect::Listener>,
+    listener: Option<obs::frame::FrameServer>,
 }
 
 impl Server {
@@ -363,7 +363,7 @@ impl Server {
                 return ticket;
             }
         };
-        let expected = entry.servable.config.num_params;
+        let expected = entry.servable.config().num_params;
         if config.len() != expected {
             let _ = tx.send(Err(ServeError::BadArity {
                 expected,

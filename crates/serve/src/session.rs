@@ -58,7 +58,7 @@ use metadse::checkpoint::{CkptIo, GenerationStore, StdIo};
 use metadse::explorer::{
     front_delta, hypervolume, Explorer, ExplorerConfig, ExplorerState, ParetoEntry,
 };
-use metadse_nn::format::{fnv1a, seal, unseal, ByteReader, ByteWriter};
+use metadse_nn::format::{fnv1a, seal, unseal, ByteReader, ByteWriter, FormatError};
 use metadse_nn::serialize::CheckpointError;
 use metadse_obs as obs;
 use metadse_sim::{ConfigPoint, DesignSpace};
@@ -293,12 +293,7 @@ impl SessionSpec {
     /// after a reconnect (or crash) lands on the same session.
     pub fn session_id(&self) -> u64 {
         let mut w = ByteWriter::new();
-        w.str(&self.workload);
-        w.u64(self.seed);
-        w.u32(self.initial_samples);
-        w.u32(self.refinement_rounds);
-        w.u32(self.beam);
-        w.u64(self.round_timeout_us);
+        put_spec(&mut w, self);
         fnv1a(&w.into_bytes())
     }
 
@@ -379,6 +374,12 @@ pub struct SessionState {
     pub cache_entries: Vec<(ConfigPoint, u64)>,
 }
 
+// The one encoding of each session type, shared by the `MDSESESS`
+// checkpoint and the shard wire (`crate::shard`). Every count is read
+// through `ByteReader::count`, which checks it against the bytes left
+// before it sizes an allocation: wire frames carry no checksum.
+
+/// `point := n:u32 · idx:u32*`.
 fn put_point(w: &mut ByteWriter, point: &ConfigPoint) {
     let indices = point.indices();
     w.u32(indices.len() as u32);
@@ -387,8 +388,8 @@ fn put_point(w: &mut ByteWriter, point: &ConfigPoint) {
     }
 }
 
-fn get_point(r: &mut ByteReader) -> Result<ConfigPoint, CheckpointError> {
-    let n = r.u32()? as usize;
+fn get_point(r: &mut ByteReader) -> Result<ConfigPoint, FormatError> {
+    let n = r.count(4)?;
     let mut indices = Vec::with_capacity(n);
     for _ in 0..n {
         indices.push(r.u32()? as usize);
@@ -396,36 +397,66 @@ fn get_point(r: &mut ByteReader) -> Result<ConfigPoint, CheckpointError> {
     Ok(ConfigPoint::new(indices))
 }
 
-fn put_entry(w: &mut ByteWriter, entry: &ParetoEntry) {
-    put_point(w, &entry.point);
-    w.f64(entry.ipc);
-    w.f64(entry.power);
+fn put_points(w: &mut ByteWriter, points: &[ConfigPoint]) {
+    w.u32(points.len() as u32);
+    for p in points {
+        put_point(w, p);
+    }
 }
 
-fn get_entry(r: &mut ByteReader) -> Result<ParetoEntry, CheckpointError> {
-    let point = get_point(r)?;
-    let ipc = r.f64()?;
-    let power = r.f64()?;
-    Ok(ParetoEntry { point, ipc, power })
+fn get_points(r: &mut ByteReader) -> Result<Vec<ConfigPoint>, FormatError> {
+    let n = r.count(4)?;
+    (0..n).map(|_| get_point(r)).collect()
 }
 
+/// `entries := n:u32 · (point ipc:f64 power:f64)*`.
 fn put_entries(w: &mut ByteWriter, entries: &[ParetoEntry]) {
     w.u32(entries.len() as u32);
     for e in entries {
-        put_entry(w, e);
+        put_point(w, &e.point);
+        w.f64(e.ipc);
+        w.f64(e.power);
     }
 }
 
-fn get_entries(r: &mut ByteReader) -> Result<Vec<ParetoEntry>, CheckpointError> {
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(get_entry(r)?);
-    }
-    Ok(entries)
+fn get_entries(r: &mut ByteReader) -> Result<Vec<ParetoEntry>, FormatError> {
+    let n = r.count(4 + 16)?;
+    (0..n)
+        .map(|_| {
+            Ok(ParetoEntry {
+                point: get_point(r)?,
+                ipc: r.f64()?,
+                power: r.f64()?,
+            })
+        })
+        .collect()
 }
 
-fn put_report(w: &mut ByteWriter, report: &RoundReport) {
+/// `spec := workload:str seed:u64 initial:u32 rounds:u32 beam:u32
+/// timeout_us:u64` — also the bytes [`SessionSpec::session_id`] hashes.
+pub(crate) fn put_spec(w: &mut ByteWriter, spec: &SessionSpec) {
+    w.str(&spec.workload);
+    w.u64(spec.seed);
+    w.u32(spec.initial_samples);
+    w.u32(spec.refinement_rounds);
+    w.u32(spec.beam);
+    w.u64(spec.round_timeout_us);
+}
+
+pub(crate) fn get_spec(r: &mut ByteReader) -> Result<SessionSpec, FormatError> {
+    Ok(SessionSpec {
+        workload: r.str()?,
+        seed: r.u64()?,
+        initial_samples: r.u32()?,
+        refinement_rounds: r.u32()?,
+        beam: r.u32()?,
+        round_timeout_us: r.u64()?,
+    })
+}
+
+/// `report := round:u64 done:u32 hv:f64 proposed:u32 predicted:u32
+/// hits:u32 shed:u32 added:entries removed:(n:u32 · point*)`.
+pub(crate) fn put_report(w: &mut ByteWriter, report: &RoundReport) {
     w.u64(report.round);
     w.u32(u32::from(report.done));
     w.f64(report.hypervolume);
@@ -434,36 +465,20 @@ fn put_report(w: &mut ByteWriter, report: &RoundReport) {
     w.u32(report.cache_hits);
     w.u32(report.shed);
     put_entries(w, &report.added);
-    w.u32(report.removed.len() as u32);
-    for p in &report.removed {
-        put_point(w, p);
-    }
+    put_points(w, &report.removed);
 }
 
-fn get_report(r: &mut ByteReader) -> Result<RoundReport, CheckpointError> {
-    let round = r.u64()?;
-    let done = r.u32()? != 0;
-    let hypervolume = r.f64()?;
-    let proposed = r.u32()?;
-    let predicted = r.u32()?;
-    let cache_hits = r.u32()?;
-    let shed = r.u32()?;
-    let added = get_entries(r)?;
-    let n = r.u32()? as usize;
-    let mut removed = Vec::with_capacity(n);
-    for _ in 0..n {
-        removed.push(get_point(r)?);
-    }
+pub(crate) fn get_report(r: &mut ByteReader) -> Result<RoundReport, FormatError> {
     Ok(RoundReport {
-        round,
-        done,
-        hypervolume,
-        proposed,
-        predicted,
-        cache_hits,
-        shed,
-        added,
-        removed,
+        round: r.u64()?,
+        done: r.u32()? != 0,
+        hypervolume: r.f64()?,
+        proposed: r.u32()?,
+        predicted: r.u32()?,
+        cache_hits: r.u32()?,
+        shed: r.u32()?,
+        added: get_entries(r)?,
+        removed: get_points(r)?,
     })
 }
 
@@ -471,21 +486,13 @@ fn get_report(r: &mut ByteReader) -> Result<RoundReport, CheckpointError> {
 /// (checksummed; every `f64` travels as its exact bit pattern).
 pub fn encode_session(state: &SessionState) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.str(&state.spec.workload);
-    w.u64(state.spec.seed);
-    w.u32(state.spec.initial_samples);
-    w.u32(state.spec.refinement_rounds);
-    w.u32(state.spec.beam);
-    w.u64(state.spec.round_timeout_us);
+    put_spec(&mut w, &state.spec);
     w.u64(state.fingerprint);
     for word in state.explorer.rng {
         w.u64(word);
     }
     w.u64(state.explorer.rounds_done);
-    w.u32(state.explorer.seen.len() as u32);
-    for p in &state.explorer.seen {
-        put_point(&mut w, p);
-    }
+    put_points(&mut w, &state.explorer.seen);
     put_entries(&mut w, &state.explorer.archive);
     w.u64(state.predictions);
     w.u64(state.cache_hits);
@@ -520,31 +527,14 @@ pub fn decode_session(bytes: &[u8]) -> Result<SessionState, CheckpointError> {
         )));
     }
     let mut r = ByteReader::new(payload);
-    let workload = r.str()?;
-    let seed = r.u64()?;
-    let initial_samples = r.u32()?;
-    let refinement_rounds = r.u32()?;
-    let beam = r.u32()?;
-    let round_timeout_us = r.u64()?;
-    let spec = SessionSpec {
-        workload,
-        seed,
-        initial_samples,
-        refinement_rounds,
-        beam,
-        round_timeout_us,
-    };
+    let spec = get_spec(&mut r)?;
     let fingerprint = r.u64()?;
     let mut rng = [0u64; 4];
     for word in &mut rng {
         *word = r.u64()?;
     }
     let rounds_done = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut seen = Vec::with_capacity(n);
-    for _ in 0..n {
-        seen.push(get_point(&mut r)?);
-    }
+    let seen = get_points(&mut r)?;
     let archive = get_entries(&mut r)?;
     let predictions = r.u64()?;
     let cache_hits = r.u64()?;
@@ -559,7 +549,7 @@ pub fn decode_session(bytes: &[u8]) -> Result<SessionState, CheckpointError> {
             )))
         }
     };
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 8)?;
     let mut cache_entries = Vec::with_capacity(n);
     for _ in 0..n {
         let p = get_point(&mut r)?;
@@ -1223,6 +1213,66 @@ mod tests {
     use metadse::checkpoint::{FaultIo, FaultMode, FaultSpec};
     use metadse::predictor::{PredictorConfig, TransformerPredictor};
     use metadse::ServablePredictor;
+
+    /// A state exercising every encoded field: spec, RNG words, seen
+    /// points, archive, counters, a last report with added and removed
+    /// points, and cache entries.
+    fn fixed_state() -> SessionState {
+        let entry = |indices: Vec<usize>, ipc: f64, power: f64| ParetoEntry {
+            point: ConfigPoint::new(indices),
+            ipc,
+            power,
+        };
+        SessionState {
+            spec: SessionSpec {
+                workload: "mcf".into(),
+                seed: 11,
+                initial_samples: 8,
+                refinement_rounds: 2,
+                beam: 2,
+                round_timeout_us: 250_000,
+            },
+            fingerprint: 0xF00D_CAFE,
+            explorer: ExplorerState {
+                rng: [1, 2, 3, u64::MAX],
+                rounds_done: 2,
+                seen: vec![
+                    ConfigPoint::new(vec![0, 1, 2]),
+                    ConfigPoint::new(vec![3, 4, 5]),
+                ],
+                archive: vec![entry(vec![3, 4, 5], 1.25, 2.5)],
+            },
+            predictions: 5,
+            cache_hits: 3,
+            shed: 1,
+            proposed: 9,
+            last_report: Some(RoundReport {
+                round: 2,
+                done: true,
+                hypervolume: 0.75,
+                proposed: 4,
+                predicted: 2,
+                cache_hits: 1,
+                shed: 1,
+                added: vec![entry(vec![3, 4, 5], 1.25, 2.5)],
+                removed: vec![ConfigPoint::new(vec![0, 1, 2])],
+            }),
+            cache_entries: vec![
+                (ConfigPoint::new(vec![0, 1, 2]), 0.5f64.to_bits()),
+                (ConfigPoint::new(vec![3, 4, 5]), 1.25f64.to_bits()),
+            ],
+        }
+    }
+
+    /// The checkpoint bytes of a fixed state are pinned, so sessions
+    /// checkpointed by earlier builds still resume.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let state = fixed_state();
+        let bytes = encode_session(&state);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (363, 0x828d_7731_4097_5535));
+        assert_eq!(decode_session(&bytes).unwrap(), state);
+    }
 
     /// Cuts the power at every operation of a session's first two round
     /// checkpoints in turn. The first one also creates `sessions/` and

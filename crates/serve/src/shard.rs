@@ -13,37 +13,51 @@
 //! Each worker process runs a [`ShardServer`]: a [`ModelRegistry`]
 //! opened with [`ModelRegistry::open_sharded`] (it loads only the
 //! workloads its [`ShardSpec`] owns), an in-process [`Server`] for
-//! batched execution, a unix-socket listener speaking the frame codec
-//! from [`metadse_obs::frame`], and the standard introspection endpoint
-//! at `<socket>.intro` for the supervisor's readiness barrier.
+//! batched execution, a data socket on the workspace's frame server
+//! ([`metadse_obs::frame::FrameServer`], one thread per connection), and
+//! the standard introspection endpoint at `<socket>.intro` for the
+//! supervisor's readiness barrier.
 //!
 //! ## Wire protocol
 //!
 //! Every message is one length-prefixed frame (u32-LE, ≤ 1 MiB — the
 //! same framing as the introspection plane). Payloads are binary,
-//! little-endian, tag-discriminated:
+//! little-endian, tag-discriminated, and written with the checkpoint
+//! codec ([`metadse_nn::format::ByteWriter`]): session specs and round
+//! reports travel in exactly the bytes an `MDSESESS` session checkpoint
+//! stores them in, through the same encoders in [`crate::session`].
 //!
 //! ```text
-//! request  := 'P' predict   workload:str16 config:vec16<f64-bits>
-//!                           timeout_us:u64 (0 = none)
+//! request  := 'P' predict   workload:str config:f64s timeout_us:u64
+//!                           (timeout 0 = none)
 //!           | 'W' workloads (no body)
-//!           | 'O' open      workload:str16 seed:u64 initial:u32
-//!                           rounds:u32 beam:u32 timeout_us:u64
-//!           | 'S' step      workload:str16 session:u64 round:u64
-//!           | 'C' close     workload:str16 session:u64
+//!           | 'O' open      spec
+//!           | 'S' step      workload:str session:u64 round:u64
+//!           | 'C' close     workload:str session:u64
 //! reply    := 'V' value     bits:u64 generation:u64 batch:u32
 //!                           trace_id:u64 shard:u32
-//!           | 'L' list      count:u16 · (name:str16 fp:u64 gen:u64)*
+//!           | 'L' list      n:u32 · (name:str fp:u64 gen:u64)*
 //!           | 'O' opened    session:u64 fp:u64 rounds_done:u64
 //!                           rounds_total:u64 resumed:u8
-//!           | 'D' delta     session:u64 round:u64 done:u8 hv:f64-bits
-//!                           proposed:u32 predicted:u32 hits:u32 shed:u32
-//!                           added:vec16<entry> removed:vec16<point>
+//!           | 'D' delta     session:u64 report
 //!           | 'K' closed    existed:u8
-//!           | 'E' error     code:u8 message:str16
-//! point    := n:u16 · idx:u16 each; entry := point ipc:u64 power:u64
-//! str16    := len:u16-LE bytes; vec16 := len:u16-LE elems
+//!           | 'E' error     code:u8 message:str
+//! spec     := workload:str seed:u64 initial:u32 rounds:u32 beam:u32
+//!             timeout_us:u64
+//! report   := round:u64 done:u32 hv:f64 proposed:u32 predicted:u32
+//!             hits:u32 shed:u32 added:(n:u32 · entry*)
+//!             removed:(n:u32 · point*)
+//! entry    := point ipc:f64 power:f64;   point := n:u32 · idx:u32*
+//! str      := len:u32 bytes;             f64s  := n:u64 · f64*
 //! ```
+//!
+//! Every width is the checkpoint's (u32 counts and indices): fleet
+//! workers re-execute the launching binary ([`run_worker_if_flagged`]),
+//! so both ends of a connection always run the same codec. Frames carry
+//! no checksum, so every count is checked against the bytes left in the
+//! frame before it sizes an allocation; a frame claiming more elements
+//! than it holds is `InvalidData`. [`ShardRequest::encode`] and
+//! [`ShardReply::encode`] refuse a payload over [`MAX_FRAME`].
 //!
 //! Session ops (`'O'`/`'S'`/`'C'`) carry their workload so the front
 //! door routes them statelessly exactly like predicts — sessions for a
@@ -62,17 +76,21 @@
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use metadse::shard::ShardSpec;
+use metadse_nn::format::{ByteReader, ByteWriter};
 use metadse_obs as obs;
-use metadse_obs::frame::{read_frame, write_frame};
+#[cfg(unix)]
+use metadse_obs::frame::FrameServer;
+use metadse_obs::frame::{read_frame, write_frame, MAX_FRAME};
 use metadse_obs::introspect::{Respond, Response};
 
 use crate::registry::ModelRegistry;
 use crate::server::{Prediction, ServeConfig, ServeError, Server};
+use crate::session;
 
 /// Suffix appended to a shard's (or the front's) data socket to name
 /// its introspection socket.
@@ -188,9 +206,9 @@ impl From<ServeError> for ShardError {
     }
 }
 
-impl From<crate::session::SessionError> for ShardError {
-    fn from(e: crate::session::SessionError) -> ShardError {
-        use crate::session::SessionError;
+impl From<session::SessionError> for ShardError {
+    fn from(e: session::SessionError) -> ShardError {
+        use session::SessionError;
         let code = match &e {
             SessionError::UnknownWorkload(_) => ErrorCode::UnknownWorkload,
             SessionError::UnknownSession(_) => ErrorCode::UnknownSession,
@@ -217,7 +235,7 @@ pub enum ShardRequest {
     /// List the workloads this process serves.
     Workloads,
     /// Open (or idempotently re-open / resume) an exploration session.
-    OpenSession(crate::session::SessionSpec),
+    OpenSession(session::SessionSpec),
     /// Execute or replay one exploration round.
     StepSession {
         /// Session workload (the routing key).
@@ -285,13 +303,13 @@ pub enum ShardReply {
     /// Workload listing.
     Workloads(Vec<WorkloadInfo>),
     /// Session opened (or resumed).
-    SessionOpened(crate::session::OpenInfo),
+    SessionOpened(session::OpenInfo),
     /// One round's incremental front delta.
     SessionDelta {
         /// Session the round belongs to.
         session: u64,
         /// The round's report (delta, hypervolume, accounting).
-        report: crate::session::RoundReport,
+        report: session::RoundReport,
     },
     /// Session closed; whether it was open here.
     SessionClosed(bool),
@@ -299,107 +317,34 @@ pub enum ShardReply {
     Error(ShardError),
 }
 
-fn put_point16(out: &mut Vec<u8>, point: &metadse_sim::ConfigPoint) -> io::Result<()> {
-    let indices = point.indices();
-    let len = u16::try_from(indices.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "point exceeds u16 length"))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    for &i in indices {
-        let idx = u16::try_from(i)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "index exceeds u16"))?;
-        out.extend_from_slice(&idx.to_le_bytes());
+/// Refuses a payload the frame codec would refuse to send.
+fn frame_payload(w: ByteWriter) -> io::Result<Vec<u8>> {
+    let out = w.into_bytes();
+    if out.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("message of {} bytes exceeds MAX_FRAME", out.len()),
+        ));
     }
-    Ok(())
+    Ok(out)
 }
 
-fn put_entry16(out: &mut Vec<u8>, entry: &metadse::explorer::ParetoEntry) -> io::Result<()> {
-    put_point16(out, &entry.point)?;
-    out.extend_from_slice(&entry.ipc.to_bits().to_le_bytes());
-    out.extend_from_slice(&entry.power.to_bits().to_le_bytes());
-    Ok(())
+/// Rejects bytes left over after a complete message.
+fn finish(r: &ByteReader) -> io::Result<()> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{n} trailing bytes after message"),
+        )),
+    }
 }
 
-fn put_str16(out: &mut Vec<u8>, s: &str) -> io::Result<()> {
-    let len = u16::try_from(s.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "string exceeds u16 length"))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-/// Sequential decoder over one frame payload; every read is
-/// bounds-checked so a malformed frame is an error, never a panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame payload truncated",
-            ));
-        };
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str16(&mut self) -> io::Result<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    fn point16(&mut self) -> io::Result<metadse_sim::ConfigPoint> {
-        let n = self.u16()? as usize;
-        let mut indices = Vec::with_capacity(n);
-        for _ in 0..n {
-            indices.push(self.u16()? as usize);
-        }
-        Ok(metadse_sim::ConfigPoint::new(indices))
-    }
-
-    fn entry16(&mut self) -> io::Result<metadse::explorer::ParetoEntry> {
-        let point = self.point16()?;
-        let ipc = f64::from_bits(self.u64()?);
-        let power = f64::from_bits(self.u64()?);
-        Ok(metadse::explorer::ParetoEntry { point, ipc, power })
-    }
-
-    fn finish(self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after message",
-            ))
-        }
-    }
+fn unknown_tag(kind: &str, tag: u8) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unknown {kind} tag {tag:#04x}"),
+    )
 }
 
 impl ShardRequest {
@@ -407,103 +352,72 @@ impl ShardRequest {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when a workload name or configuration exceeds the
-    /// u16 length fields.
+    /// `InvalidInput` when the payload exceeds [`MAX_FRAME`].
     pub fn encode(&self) -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
+        let mut w = ByteWriter::new();
         match self {
             ShardRequest::Predict {
                 workload,
                 config,
                 timeout_us,
             } => {
-                out.push(b'P');
-                put_str16(&mut out, workload)?;
-                let len = u16::try_from(config.len()).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "config exceeds u16 length")
-                })?;
-                out.extend_from_slice(&len.to_le_bytes());
-                for v in config {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                out.extend_from_slice(&timeout_us.to_le_bytes());
+                w.u8(b'P');
+                w.str(workload);
+                w.f64_slice(config);
+                w.u64(*timeout_us);
             }
-            ShardRequest::Workloads => out.push(b'W'),
+            ShardRequest::Workloads => w.u8(b'W'),
             ShardRequest::OpenSession(spec) => {
-                out.push(b'O');
-                put_str16(&mut out, &spec.workload)?;
-                out.extend_from_slice(&spec.seed.to_le_bytes());
-                out.extend_from_slice(&spec.initial_samples.to_le_bytes());
-                out.extend_from_slice(&spec.refinement_rounds.to_le_bytes());
-                out.extend_from_slice(&spec.beam.to_le_bytes());
-                out.extend_from_slice(&spec.round_timeout_us.to_le_bytes());
+                w.u8(b'O');
+                session::put_spec(&mut w, spec);
             }
             ShardRequest::StepSession {
                 workload,
                 session,
                 round,
             } => {
-                out.push(b'S');
-                put_str16(&mut out, workload)?;
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&round.to_le_bytes());
+                w.u8(b'S');
+                w.str(workload);
+                w.u64(*session);
+                w.u64(*round);
             }
             ShardRequest::CloseSession { workload, session } => {
-                out.push(b'C');
-                put_str16(&mut out, workload)?;
-                out.extend_from_slice(&session.to_le_bytes());
+                w.u8(b'C');
+                w.str(workload);
+                w.u64(*session);
             }
         }
-        Ok(out)
+        frame_payload(w)
     }
 
     /// Parses one frame payload.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on unknown tags, truncation, or trailing bytes.
+    /// `InvalidData` on unknown tags, truncation, counts larger than the
+    /// frame, or trailing bytes.
     pub fn decode(payload: &[u8]) -> io::Result<ShardRequest> {
-        let mut c = Cursor::new(payload);
-        let request = match c.u8()? {
-            b'P' => {
-                let workload = c.str16()?;
-                let n = c.u16()? as usize;
-                let mut config = Vec::with_capacity(n);
-                for _ in 0..n {
-                    config.push(f64::from_bits(c.u64()?));
-                }
-                ShardRequest::Predict {
-                    workload,
-                    config,
-                    timeout_us: c.u64()?,
-                }
-            }
+        let mut r = ByteReader::new(payload);
+        let request = match r.u8()? {
+            b'P' => ShardRequest::Predict {
+                workload: r.str()?,
+                config: r.f64_vec()?,
+                timeout_us: r.u64()?,
+            },
             b'W' => ShardRequest::Workloads,
-            b'O' => ShardRequest::OpenSession(crate::session::SessionSpec {
-                workload: c.str16()?,
-                seed: c.u64()?,
-                initial_samples: c.u32()?,
-                refinement_rounds: c.u32()?,
-                beam: c.u32()?,
-                round_timeout_us: c.u64()?,
-            }),
+            b'O' => ShardRequest::OpenSession(session::get_spec(&mut r)?),
             b'S' => ShardRequest::StepSession {
-                workload: c.str16()?,
-                session: c.u64()?,
-                round: c.u64()?,
+                workload: r.str()?,
+                session: r.u64()?,
+                round: r.u64()?,
             },
             b'C' => ShardRequest::CloseSession {
-                workload: c.str16()?,
-                session: c.u64()?,
+                workload: r.str()?,
+                session: r.u64()?,
             },
-            tag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown request tag {tag:#04x}"),
-                ))
-            }
+            tag => return Err(unknown_tag("request", tag)),
         };
-        c.finish()?;
+        finish(&r)?;
         Ok(request)
     }
 }
@@ -513,149 +427,96 @@ impl ShardReply {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when a name or message exceeds the u16 length
-    /// fields.
+    /// `InvalidInput` when the payload exceeds [`MAX_FRAME`].
     pub fn encode(&self) -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
+        let mut w = ByteWriter::new();
         match self {
             ShardReply::Value(p) => {
-                out.push(b'V');
-                out.extend_from_slice(&p.value_bits.to_le_bytes());
-                out.extend_from_slice(&p.generation.to_le_bytes());
-                out.extend_from_slice(&p.batch_size.to_le_bytes());
-                out.extend_from_slice(&p.trace_id.to_le_bytes());
-                out.extend_from_slice(&p.shard.to_le_bytes());
+                w.u8(b'V');
+                w.u64(p.value_bits);
+                w.u64(p.generation);
+                w.u32(p.batch_size);
+                w.u64(p.trace_id);
+                w.u32(p.shard);
             }
             ShardReply::Workloads(list) => {
-                out.push(b'L');
-                let len = u16::try_from(list.len()).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "workload list exceeds u16")
-                })?;
-                out.extend_from_slice(&len.to_le_bytes());
-                for w in list {
-                    put_str16(&mut out, &w.name)?;
-                    out.extend_from_slice(&w.fingerprint.to_le_bytes());
-                    out.extend_from_slice(&w.generation.to_le_bytes());
+                w.u8(b'L');
+                w.u32(list.len() as u32);
+                for info in list {
+                    w.str(&info.name);
+                    w.u64(info.fingerprint);
+                    w.u64(info.generation);
                 }
             }
             ShardReply::SessionOpened(info) => {
-                out.push(b'O');
-                out.extend_from_slice(&info.session_id.to_le_bytes());
-                out.extend_from_slice(&info.fingerprint.to_le_bytes());
-                out.extend_from_slice(&info.rounds_done.to_le_bytes());
-                out.extend_from_slice(&info.rounds_total.to_le_bytes());
-                out.push(u8::from(info.resumed));
+                w.u8(b'O');
+                w.u64(info.session_id);
+                w.u64(info.fingerprint);
+                w.u64(info.rounds_done);
+                w.u64(info.rounds_total);
+                w.u8(u8::from(info.resumed));
             }
             ShardReply::SessionDelta { session, report } => {
-                out.push(b'D');
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&report.round.to_le_bytes());
-                out.push(u8::from(report.done));
-                out.extend_from_slice(&report.hypervolume.to_bits().to_le_bytes());
-                out.extend_from_slice(&report.proposed.to_le_bytes());
-                out.extend_from_slice(&report.predicted.to_le_bytes());
-                out.extend_from_slice(&report.cache_hits.to_le_bytes());
-                out.extend_from_slice(&report.shed.to_le_bytes());
-                let added = u16::try_from(report.added.len()).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "delta added exceeds u16")
-                })?;
-                out.extend_from_slice(&added.to_le_bytes());
-                for entry in &report.added {
-                    put_entry16(&mut out, entry)?;
-                }
-                let removed = u16::try_from(report.removed.len()).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "delta removed exceeds u16")
-                })?;
-                out.extend_from_slice(&removed.to_le_bytes());
-                for point in &report.removed {
-                    put_point16(&mut out, point)?;
-                }
+                w.u8(b'D');
+                w.u64(*session);
+                session::put_report(&mut w, report);
             }
             ShardReply::SessionClosed(existed) => {
-                out.push(b'K');
-                out.push(u8::from(*existed));
+                w.u8(b'K');
+                w.u8(u8::from(*existed));
             }
             ShardReply::Error(e) => {
-                out.push(b'E');
-                out.push(e.code as u8);
-                put_str16(&mut out, &e.message)?;
+                w.u8(b'E');
+                w.u8(e.code as u8);
+                w.str(&e.message);
             }
         }
-        Ok(out)
+        frame_payload(w)
     }
 
     /// Parses one frame payload.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on unknown tags or codes, truncation, or trailing
-    /// bytes.
+    /// `InvalidData` on unknown tags or codes, truncation, counts larger
+    /// than the frame, or trailing bytes.
     pub fn decode(payload: &[u8]) -> io::Result<ShardReply> {
-        let mut c = Cursor::new(payload);
-        let reply = match c.u8()? {
+        let mut r = ByteReader::new(payload);
+        let reply = match r.u8()? {
             b'V' => ShardReply::Value(WirePrediction {
-                value_bits: c.u64()?,
-                generation: c.u64()?,
-                batch_size: c.u32()?,
-                trace_id: c.u64()?,
-                shard: c.u32()?,
+                value_bits: r.u64()?,
+                generation: r.u64()?,
+                batch_size: r.u32()?,
+                trace_id: r.u64()?,
+                shard: r.u32()?,
             }),
             b'L' => {
-                let n = c.u16()? as usize;
-                let mut list = Vec::with_capacity(n);
-                for _ in 0..n {
-                    list.push(WorkloadInfo {
-                        name: c.str16()?,
-                        fingerprint: c.u64()?,
-                        generation: c.u64()?,
-                    });
-                }
+                let n = r.count(4 + 16)?;
+                let list = (0..n)
+                    .map(|_| {
+                        Ok(WorkloadInfo {
+                            name: r.str()?,
+                            fingerprint: r.u64()?,
+                            generation: r.u64()?,
+                        })
+                    })
+                    .collect::<io::Result<_>>()?;
                 ShardReply::Workloads(list)
             }
-            b'O' => ShardReply::SessionOpened(crate::session::OpenInfo {
-                session_id: c.u64()?,
-                fingerprint: c.u64()?,
-                rounds_done: c.u64()?,
-                rounds_total: c.u64()?,
-                resumed: c.u8()? != 0,
+            b'O' => ShardReply::SessionOpened(session::OpenInfo {
+                session_id: r.u64()?,
+                fingerprint: r.u64()?,
+                rounds_done: r.u64()?,
+                rounds_total: r.u64()?,
+                resumed: r.u8()? != 0,
             }),
-            b'D' => {
-                let session = c.u64()?;
-                let round = c.u64()?;
-                let done = c.u8()? != 0;
-                let hypervolume = f64::from_bits(c.u64()?);
-                let proposed = c.u32()?;
-                let predicted = c.u32()?;
-                let cache_hits = c.u32()?;
-                let shed = c.u32()?;
-                let n = c.u16()? as usize;
-                let mut added = Vec::with_capacity(n);
-                for _ in 0..n {
-                    added.push(c.entry16()?);
-                }
-                let n = c.u16()? as usize;
-                let mut removed = Vec::with_capacity(n);
-                for _ in 0..n {
-                    removed.push(c.point16()?);
-                }
-                ShardReply::SessionDelta {
-                    session,
-                    report: crate::session::RoundReport {
-                        round,
-                        done,
-                        hypervolume,
-                        proposed,
-                        predicted,
-                        cache_hits,
-                        shed,
-                        added,
-                        removed,
-                    },
-                }
-            }
-            b'K' => ShardReply::SessionClosed(c.u8()? != 0),
+            b'D' => ShardReply::SessionDelta {
+                session: r.u64()?,
+                report: session::get_report(&mut r)?,
+            },
+            b'K' => ShardReply::SessionClosed(r.u8()? != 0),
             b'E' => {
-                let raw = c.u8()?;
+                let raw = r.u8()?;
                 let code = ErrorCode::from_u8(raw).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -664,17 +525,12 @@ impl ShardReply {
                 })?;
                 ShardReply::Error(ShardError {
                     code,
-                    message: c.str16()?,
+                    message: r.str()?,
                 })
             }
-            tag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown reply tag {tag:#04x}"),
-                ))
-            }
+            tag => return Err(unknown_tag("reply", tag)),
         };
-        c.finish()?;
+        finish(&r)?;
         Ok(reply)
     }
 }
@@ -694,72 +550,12 @@ pub fn round_trip(
     ShardReply::decode(&read_frame(stream)?)
 }
 
-/// Waits for the next frame on a stream whose read timeout is short
-/// (the handler's idle poll), returning `Ok(None)` when `stop` was
-/// raised while the connection sat idle.
-///
-/// The idle poll may only fire *between* frames: this reads the first
-/// header byte under the short timeout, then switches the stream to a
-/// generous per-frame timeout for the remainder, so a slow peer can
-/// never desynchronize the framing by straddling a poll boundary.
-///
-/// # Errors
-///
-/// Peer hangup (`UnexpectedEof`), oversize frames (`InvalidData`), or
-/// any underlying I/O error once a frame has started.
-#[cfg(unix)]
-pub(crate) fn read_frame_or_stop(
-    stream: &mut std::os::unix::net::UnixStream,
-    stop: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    use metadse_obs::frame::MAX_FRAME;
-
-    const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
-
-    let mut first = [0u8; 1];
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        match stream.read(&mut first) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    stream.set_read_timeout(Some(FRAME_TIMEOUT))?;
-    let result = (|| {
-        let mut rest = [0u8; 3];
-        stream.read_exact(&mut rest)?;
-        let len = u32::from_le_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap {MAX_FRAME}"),
-            ));
-        }
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload)?;
-        Ok(payload)
-    })();
-    stream.set_read_timeout(Some(IDLE_POLL))?;
-    result.map(Some)
-}
-
-/// Short read timeout letting connection handlers observe the stop flag
-/// while a peer holds the connection open idle.
-#[cfg(unix)]
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
-
 // ---------------------------------------------------------------------
 // Shard worker runtime
 // ---------------------------------------------------------------------
 
 /// Configuration for one shard worker process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardOptions {
     /// Data socket this shard listens on; the introspection endpoint
     /// binds `<socket>.intro`.
@@ -801,7 +597,7 @@ impl ShardOptions {
 struct ShardResponder {
     serve: crate::introspect::ServeResponder,
     spec: ShardSpec,
-    engine: Arc<crate::session::SessionEngine>,
+    engine: Arc<session::SessionEngine>,
 }
 
 #[cfg(unix)]
@@ -839,14 +635,11 @@ impl Respond for ShardResponder {
 /// socket, introspection socket. Drop (or [`shutdown`](ShardServer::shutdown))
 /// stops the listeners and drains the server.
 pub struct ShardServer {
-    socket: PathBuf,
     spec: ShardSpec,
     registry: Arc<ModelRegistry>,
     server: Option<Arc<Server>>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    _intro: obs::introspect::Listener,
+    data: FrameServer,
+    _intro: FrameServer,
     served: Arc<AtomicU64>,
 }
 
@@ -860,19 +653,17 @@ impl ShardServer {
     ///
     /// Any socket bind or thread-spawn error.
     pub fn start(opts: ShardOptions) -> io::Result<ShardServer> {
-        use std::os::unix::net::UnixListener;
-
         let registry = Arc::new(ModelRegistry::open_sharded(
             &opts.registry_root,
             opts.keep,
             opts.spec,
         ));
         let server = Arc::new(Server::start(Arc::clone(&registry), opts.config));
-        let mut engine_config = crate::session::SessionEngineConfig::from_env();
+        let mut engine_config = session::SessionEngineConfig::from_env();
         if opts.session_dir.is_some() {
             engine_config.dir = opts.session_dir.clone();
         }
-        let engine = Arc::new(crate::session::SessionEngine::new(engine_config));
+        let engine = Arc::new(session::SessionEngine::new(engine_config));
         // The supervisor's readiness barrier and CI probes speak the
         // standard introspection protocol against `<socket>.intro`.
         let responder = Arc::new(ShardResponder {
@@ -884,26 +675,19 @@ impl ShardServer {
         });
         let intro = obs::introspect::serve_unix(&intro_socket(&opts.socket), responder)?;
 
-        let _ = std::fs::remove_file(&opts.socket);
-        let listener = UnixListener::bind(&opts.socket)?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let served = Arc::new(AtomicU64::new(0));
-
-        let ctx = Arc::new(ConnContext {
+        let ctx = ConnContext {
             server: Arc::clone(&server),
             registry: Arc::clone(&registry),
             engine,
             spec: opts.spec,
-            stop: Arc::clone(&stop),
             served: Arc::clone(&served),
-        });
-        let accept_stop = Arc::clone(&stop);
-        let accept_conns = Arc::clone(&conn_threads);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("metadse-shard-{}", opts.spec.index))
-            .spawn(move || accept_loop(&listener, &ctx, &accept_stop, &accept_conns))?;
+        };
+        let data = FrameServer::bind(
+            &opts.socket,
+            &format!("metadse-shard-{}", opts.spec.index),
+            move |payload: &[u8]| answer(payload, |request| handle_request(&ctx, request)),
+        )?;
 
         obs::report::line(format!(
             "shard {}: serving {} workload(s) on {}",
@@ -912,13 +696,10 @@ impl ShardServer {
             opts.socket.display()
         ));
         Ok(ShardServer {
-            socket: opts.socket,
             spec: opts.spec,
             registry,
             server: Some(server),
-            stop,
-            accept_thread: Some(accept_thread),
-            conn_threads,
+            data,
             _intro: intro,
             served,
         })
@@ -926,7 +707,7 @@ impl ShardServer {
 
     /// The data-socket path.
     pub fn socket(&self) -> &Path {
-        &self.socket
+        self.data.path()
     }
 
     /// This worker's shard spec.
@@ -950,19 +731,12 @@ impl ShardServer {
     }
 
     fn close(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
-        // Every handler thread (each holding a ConnContext Arc) has
-        // been joined, so this is the last `Server` reference; dropping
-        // it drains queued requests and joins the worker pool.
+        self.data.shutdown();
+        // Every handler thread (each holding the data handler and so a
+        // `ConnContext`) has been joined, so this is the last `Server`
+        // reference; dropping it drains queued requests and joins the
+        // worker pool.
         drop(self.server.take());
-        let _ = std::fs::remove_file(&self.socket);
     }
 }
 
@@ -973,67 +747,37 @@ impl Drop for ShardServer {
     }
 }
 
+/// Decodes one request frame, answers it with `handle`, and encodes the
+/// reply — the frame handler of both fleet hops. An undecodable frame
+/// is answered with [`ErrorCode::BadRequest`].
+///
+/// # Errors
+///
+/// A reply the wire cannot carry (over [`MAX_FRAME`]); the frame server
+/// then closes the connection.
 #[cfg(unix)]
-/// Shared state of every connection-handler thread.
+pub(crate) fn answer(
+    payload: &[u8],
+    handle: impl FnOnce(ShardRequest) -> ShardReply,
+) -> io::Result<Vec<u8>> {
+    let reply = match ShardRequest::decode(payload) {
+        Ok(request) => handle(request),
+        Err(e) => ShardReply::Error(ShardError::new(
+            ErrorCode::BadRequest,
+            format!("bad request frame: {e}"),
+        )),
+    };
+    reply.encode()
+}
+
+#[cfg(unix)]
+/// What a shard's connection handlers share.
 struct ConnContext {
     server: Arc<Server>,
     registry: Arc<ModelRegistry>,
-    engine: Arc<crate::session::SessionEngine>,
+    engine: Arc<session::SessionEngine>,
     spec: ShardSpec,
-    stop: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
-}
-
-#[cfg(unix)]
-fn accept_loop(
-    listener: &std::os::unix::net::UnixListener,
-    ctx: &Arc<ConnContext>,
-    stop: &AtomicBool,
-    conns: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) {
-    const POLL: Duration = Duration::from_millis(1);
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let ctx = Arc::clone(ctx);
-                if let Ok(handle) =
-                    std::thread::Builder::new().spawn(move || serve_connection(stream, &ctx))
-                {
-                    let mut guard = conns.lock().unwrap();
-                    // Reap finished handlers so a long-lived shard does
-                    // not accumulate dead JoinHandles.
-                    guard.retain(|h| !h.is_finished());
-                    guard.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-#[cfg(unix)]
-fn serve_connection(mut stream: std::os::unix::net::UnixStream, ctx: &ConnContext) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    loop {
-        let payload = match read_frame_or_stop(&mut stream, &ctx.stop) {
-            Ok(Some(p)) => p,
-            // Stop raised while idle, peer hung up, or the stream died.
-            Ok(None) | Err(_) => return,
-        };
-        let reply = match ShardRequest::decode(&payload) {
-            Ok(request) => handle_request(ctx, request),
-            Err(e) => ShardReply::Error(ShardError::new(
-                ErrorCode::BadRequest,
-                format!("bad request frame: {e}"),
-            )),
-        };
-        let Ok(encoded) = reply.encode() else { return };
-        if write_frame(&mut stream, &encoded).is_err() {
-            return;
-        }
-    }
 }
 
 #[cfg(unix)]
@@ -1107,6 +851,34 @@ fn handle_request(ctx: &ConnContext, request: ShardRequest) -> ShardReply {
 /// `std::env::current_exe()` with this flag so one binary carries both
 /// the driver and the worker.
 pub const WORKER_FLAG: &str = "--shard-worker";
+
+impl ShardOptions {
+    /// The worker flags that [`parse_worker_args`] reads back into these
+    /// options — the one place fleet launchers spell them.
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args: Vec<String> = [
+            ("--socket", self.socket.display().to_string()),
+            ("--registry", self.registry_root.display().to_string()),
+            ("--shard-index", self.spec.index.to_string()),
+            ("--shard-count", self.spec.count.to_string()),
+            ("--keep", self.keep.to_string()),
+            ("--workers", self.config.workers.to_string()),
+            ("--max-batch", self.config.batch.max_batch.to_string()),
+            ("--max-wait-us", self.config.batch.max_wait_us.to_string()),
+            (
+                "--queue-capacity",
+                self.config.batch.queue_capacity.to_string(),
+            ),
+        ]
+        .into_iter()
+        .flat_map(|(flag, value)| [flag.to_string(), value])
+        .collect();
+        if let Some(dir) = &self.session_dir {
+            args.extend(["--session-dir".to_string(), dir.display().to_string()]);
+        }
+        args
+    }
+}
 
 /// Parses shard-worker CLI flags:
 ///
@@ -1260,6 +1032,30 @@ mod tests {
     }
 
     #[test]
+    fn worker_args_round_trip_through_to_args() {
+        let mut opts = ShardOptions {
+            socket: PathBuf::from("/tmp/fleet/shard-2.sock"),
+            registry_root: PathBuf::from("/tmp/fleet/models"),
+            spec: ShardSpec::new(2, 3).unwrap(),
+            keep: 7,
+            config: ServeConfig {
+                batch: crate::BatchConfig {
+                    max_batch: 16,
+                    max_wait_us: 250,
+                    queue_capacity: 99,
+                },
+                workers: 3,
+            },
+            session_dir: Some(PathBuf::from("/tmp/fleet/sessions")),
+        };
+        assert_eq!(parse_worker_args(&opts.to_args()), Ok(opts.clone()));
+        opts.session_dir = None;
+        assert_eq!(parse_worker_args(&opts.to_args()), Ok(opts.clone()));
+        let single = ShardOptions::single("/a.sock", "/models");
+        assert_eq!(parse_worker_args(&single.to_args()), Ok(single));
+    }
+
+    #[test]
     fn request_frames_round_trip() {
         let requests = [
             ShardRequest::Predict {
@@ -1273,7 +1069,7 @@ mod tests {
                 timeout_us: 0,
             },
             ShardRequest::Workloads,
-            ShardRequest::OpenSession(crate::session::SessionSpec {
+            ShardRequest::OpenSession(session::SessionSpec {
                 workload: "astar".to_string(),
                 seed: 7,
                 initial_samples: 64,
@@ -1323,7 +1119,7 @@ mod tests {
                 },
             ]),
             ShardReply::Workloads(vec![]),
-            ShardReply::SessionOpened(crate::session::OpenInfo {
+            ShardReply::SessionOpened(session::OpenInfo {
                 session_id: 99,
                 fingerprint: 0xF00D,
                 rounds_done: 1,
@@ -1332,7 +1128,7 @@ mod tests {
             }),
             ShardReply::SessionDelta {
                 session: 99,
-                report: crate::session::RoundReport {
+                report: session::RoundReport {
                     round: 2,
                     done: false,
                     hypervolume: 1.5,
@@ -1378,6 +1174,56 @@ mod tests {
         let mut padded = wire.clone();
         padded.push(0);
         assert!(ShardRequest::decode(&padded).is_err());
+    }
+
+    /// A count claiming `u32::MAX` points, entries, list items or string
+    /// bytes is `InvalidData` before it sizes an allocation.
+    #[test]
+    fn counts_beyond_the_frame_are_invalid_data() {
+        let invalid = |frame: &[u8]| ShardReply::decode(frame).unwrap_err().kind();
+        let delta = ShardReply::SessionDelta {
+            session: 1,
+            report: session::RoundReport::default(),
+        }
+        .encode()
+        .unwrap();
+        // The frame ends with the `added` and `removed` counts.
+        let head = &delta[..delta.len() - 8];
+        let max = u32::MAX.to_le_bytes();
+        let zero = 0u32.to_le_bytes();
+        let one_entry = [head, &1u32.to_le_bytes(), &max, &[0u8; 64]].concat();
+        for frame in [
+            [head, &max, &zero].concat(),
+            [head, &zero, &max].concat(),
+            one_entry,
+            [&[b'L'][..], &max].concat(),
+            [&[b'E', ErrorCode::Shed as u8][..], &max].concat(),
+        ] {
+            assert_eq!(invalid(&frame), io::ErrorKind::InvalidData);
+        }
+        let workload = [&[b'S'][..], &max, &[0u8; 16]].concat();
+        assert_eq!(
+            ShardRequest::decode(&workload).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn encode_refuses_a_payload_over_max_frame() {
+        let request = ShardRequest::Predict {
+            workload: "mcf".to_string(),
+            config: vec![0.5; MAX_FRAME / 8],
+            timeout_us: 0,
+        };
+        assert_eq!(
+            request.encode().unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        let reply = ShardReply::Error(ShardError::new(ErrorCode::Shed, "x".repeat(MAX_FRAME)));
+        assert_eq!(
+            reply.encode().unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
     }
 
     #[test]

@@ -323,7 +323,7 @@ mod tests {
         }
     }
 
-    fn stub_ready_listener(socket: &Path) -> metadse_obs::introspect::Listener {
+    fn stub_ready_listener(socket: &Path) -> metadse_obs::frame::FrameServer {
         metadse_obs::introspect::serve_unix(
             &intro_socket(socket),
             Arc::new(|cmd: &str| {

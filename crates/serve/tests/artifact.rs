@@ -2,14 +2,12 @@
 //! admission with `ServeError::Artifact`, and the server keeps serving
 //! every other tenant.
 //!
-//! The misshapen artifact here has `heads = 3`, which does not divide
-//! `d_model = 8`: decode rejects that geometry, so it can only reach a
-//! server in memory, through `ModelRegistry::publish`. A one-worker
-//! server is the sharpest setting — a worker that tried to build a
-//! predictor at that geometry would panic and take the only worker with
-//! it, so every later request would stay queued. Tickets are therefore
-//! polled under a deadline, and a stuck request fails the test instead
-//! of hanging it.
+//! The misshapen artifact here is a well-formed sealed container whose
+//! parameters do not fit the geometry it declares. A one-worker server
+//! is the sharpest setting — a worker that tried to run such a model
+//! would panic and take the only worker with it, so every later request
+//! would stay queued. Tickets are therefore polled under a deadline,
+//! and a stuck request fails the test instead of hanging it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,6 +17,9 @@ use metadse::ServablePredictor;
 use metadse_serve::{
     BatchConfig, ModelRegistry, Prediction, ServeConfig, ServeError, Server, Ticket,
 };
+
+mod common;
+use common::misshapen_artifact;
 
 const GEOMETRY: PredictorConfig = PredictorConfig {
     num_params: 6,
@@ -57,11 +58,9 @@ fn misshapen_artifact_is_refused_and_other_tenants_are_served() {
     let good = servable(1);
     let reference = good.instantiate().unwrap();
     registry.publish("good", &good).unwrap();
-    // A different seed keeps the misshapen copy's fingerprint apart from
-    // the good tenant's, so it can never share the good tenant's plan.
-    let mut misshapen = servable(2);
-    misshapen.config.heads = 3;
-    registry.publish("bad", &misshapen).unwrap();
+    registry
+        .publish("bad", &misshapen_artifact(GEOMETRY, 2))
+        .unwrap();
 
     let server = Server::start(
         Arc::clone(&registry),
@@ -79,9 +78,10 @@ fn misshapen_artifact_is_refused_and_other_tenants_are_served() {
     for attempt in 0..2 {
         let ticket = server.submit("bad", &config, None);
         match outcome_within_deadline(&ticket, "misshapen tenant") {
-            Err(ServeError::Artifact(message)) => {
-                assert!(message.contains("heads"), "attempt {attempt}: {message}")
-            }
+            Err(ServeError::Artifact(message)) => assert!(
+                message.contains("plan compile: parameter") && message.contains("has shape"),
+                "attempt {attempt}: {message}"
+            ),
             other => panic!("attempt {attempt}: misshapen artifact answered {other:?}"),
         }
     }

@@ -21,6 +21,9 @@ use metadse_serve::shard::{intro_socket, shard_socket, ShardOptions, ShardServer
 use metadse_serve::supervisor::wait_ready;
 use metadse_serve::{BatchConfig, ErrorCode, ModelRegistry, ServeConfig};
 
+mod common;
+use common::misshapen_artifact;
+
 const GEOMETRY: PredictorConfig = PredictorConfig {
     num_params: 6,
     d_model: 8,
@@ -182,21 +185,24 @@ fn typed_errors_cross_both_hops() {
 
 /// An artifact that does not compile into a plan reads `Artifact`
 /// through the front door, and the shard keeps serving its other
-/// tenants. The copy's `heads = 3` does not divide `d_model = 8`, so
-/// decode would refuse it from disk: it reaches the one-worker shard
-/// through that shard's in-memory registry.
+/// tenants.
 #[test]
 fn misshapen_artifact_reads_artifact_across_both_hops() {
     let dir = fleet_dir("artifact");
     let (root, references) = publish_workloads(&dir, &["mcf"]);
     let (shards, front) = start_fleet(&dir, &root, 1);
-    let mut misshapen = servable(2000);
-    misshapen.config.heads = 3;
-    shards[0].registry().publish("bad", &misshapen).unwrap();
+    shards[0]
+        .registry()
+        .publish("bad", &misshapen_artifact(GEOMETRY, 2000))
+        .unwrap();
     let mut client = FrontClient::connect(front.socket()).unwrap();
 
     let err = client.predict("bad", &[0.5; 6], None).unwrap_err();
     assert_eq!(err.code, ErrorCode::Artifact, "{err:?}");
+    assert!(
+        err.message.contains("plan compile: parameter") && err.message.contains("has shape"),
+        "{err:?}"
+    );
     assert!(!err.retryable());
     let got = client.predict("mcf", &[0.5; 6], None).unwrap();
     let want = references[0].predict(&[vec![0.5; 6]])[0];
@@ -392,5 +398,51 @@ fn direct_shard_connection_speaks_the_same_protocol() {
     assert_eq!(arc.workloads(), vec!["mcf".to_string()]);
 
     shard.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The front and a shard each shut down within 2 s while clients hold
+/// idle connections to their data and introspection sockets: every
+/// connection handler notices the stop at its next idle poll.
+#[test]
+fn front_and_shard_shut_down_promptly_while_clients_idle() {
+    use metadse_obs::frame::{read_frame, write_frame};
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    /// Opens an introspection connection, makes one round-trip, and
+    /// leaves it open.
+    fn idle_probe(socket: &Path) -> UnixStream {
+        let mut stream = UnixStream::connect(intro_socket(socket)).unwrap();
+        write_frame(&mut stream, b"health").unwrap();
+        read_frame(&mut stream).unwrap();
+        stream
+    }
+
+    let dir = fleet_dir("idle");
+    let (root, _references) = publish_workloads(&dir, &["mcf"]);
+    let (mut shards, front) = start_fleet(&dir, &root, 1);
+    let shard = shards.pop().unwrap();
+    let mut via_front = FrontClient::connect(front.socket()).unwrap();
+    via_front.predict("mcf", &[0.5; 6], None).unwrap();
+    let mut direct = FrontClient::connect(shard.socket()).unwrap();
+    direct.predict("mcf", &[0.5; 6], None).unwrap();
+    let probes = [idle_probe(front.socket()), idle_probe(shard.socket())];
+
+    let started = Instant::now();
+    front.shutdown();
+    let front_took = started.elapsed();
+    let started = Instant::now();
+    shard.shutdown();
+    let shard_took = started.elapsed();
+    assert!(
+        front_took < Duration::from_secs(2),
+        "front took {front_took:?}"
+    );
+    assert!(
+        shard_took < Duration::from_secs(2),
+        "shard took {shard_took:?}"
+    );
+    drop((via_front, direct, probes));
     let _ = std::fs::remove_dir_all(&dir);
 }
