@@ -20,19 +20,53 @@ use std::time::{Duration, Instant};
 
 use metadse::experiment::{pretrain_metadse, Environment, Scale};
 use metadse::maml::MamlConfig;
+use metadse::plan::{PlanProfile, OP_KINDS, OP_KIND_NAMES};
+use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::wam::{self, AdaptConfig};
 use metadse::ServablePredictor;
+use metadse::Step;
 use metadse_bench::report;
 use metadse_bench::serving::{request_row, DISPATCH_GEOM};
 use metadse_bench::timing::{black_box, human_ns};
+use metadse_nn::layers::Param;
+use metadse_nn::Tensor;
 use metadse_obs as obs;
 use metadse_parallel::ParallelConfig;
-use metadse_serve::plan::{OP_KINDS, OP_KIND_NAMES};
 use metadse_serve::{BatchConfig, ModelRegistry, PlanCacheStats, ServeConfig, Server};
 use metadse_sim::{DesignSpace, Simulator};
 use metadse_workloads::{Dataset, Metric, SpecWorkload, Task, TaskSampler, WorkloadSplit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Twenty profiled steps of a compiled WAM adaptation: 10 shots at the
+/// default geometry, a learnable mask installed, the adaptation's SGD
+/// update between steps. Returns the summed profile and the step count.
+fn profile_adaptation_steps() -> (PlanProfile, usize) {
+    let config = PredictorConfig::default();
+    let s = config.num_params;
+    let model = TransformerPredictor::new(config, 7);
+    model.install_mask(Param::new(
+        "wam.mask",
+        Tensor::param_from_vec(vec![-0.5; s * s], &[s, s]),
+    ));
+    let x: Vec<Vec<f64>> = (0..10)
+        .map(|i| {
+            (0..s)
+                .map(|j| ((i * s + j) as f64 * 0.37).sin().abs())
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = (0..10).map(|i| (i as f64 * 0.3).cos()).collect();
+    let mut step = Step::compile(&model, x.len());
+    let rates = vec![0.02; step.param_ranges().count()];
+    let mut profile = PlanProfile::default();
+    let steps = AdaptConfig::default().steps;
+    for _ in 0..steps {
+        black_box(step.loss_and_grad_profiled(&x, &y, &mut profile));
+        step.descend(&rates);
+    }
+    (profile, steps)
+}
 
 /// A four-workload split small enough to trace in seconds.
 fn tiny_split() -> WorkloadSplit {
@@ -228,23 +262,44 @@ fn main() {
         metadse_parallel::available_parallelism(),
     ));
 
-    // --- Allocation-free hot path ----------------------------------------
-    report::section("buffer pool and fused kernels");
-    let pool_hits = obs::counter_value("nn/pool_hits");
-    let pool_misses = obs::counter_value("nn/pool_misses");
-    let fused_calls = obs::counter_value("nn/fused_calls");
-    report::kv("nn/pool_hits", pool_hits);
-    report::kv("nn/pool_misses", pool_misses);
-    report::kv("nn/fused_calls", fused_calls);
-    let total = pool_hits + pool_misses;
-    if total > 0 {
-        report::line(format!(
-            "attribution: {:.1}% of tensor buffers in the runs above came out \
-             of the thread-local pool instead of the allocator; {fused_calls} \
-             forward ops ran as fused single-node kernels.",
-            100.0 * pool_hits as f64 / total as f64,
-        ));
+    // --- Compiled training step --------------------------------------------
+    report::section("compiled 10-shot step: per-op forward and backward");
+    let (profile, steps) = profile_adaptation_steps();
+    let forward: u64 = profile.us.iter().sum();
+    let backward: u64 = profile.backward_us.iter().sum();
+    let mut step_rows = vec![vec![
+        "op kind".to_string(),
+        "forward/step".to_string(),
+        "backward/step".to_string(),
+        "share".to_string(),
+    ]];
+    let mut order: Vec<usize> = (0..OP_KINDS).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(profile.us[i] + profile.backward_us[i]));
+    for i in order {
+        let (f, b) = (profile.us[i], profile.backward_us[i]);
+        if f + b == 0 {
+            continue;
+        }
+        step_rows.push(vec![
+            OP_KIND_NAMES[i].to_string(),
+            human_ns(u128::from(f) * 1000 / steps as u128),
+            human_ns(u128::from(b) * 1000 / steps as u128),
+            format!(
+                "{:.1}%",
+                100.0 * (f + b) as f64 / (forward + backward).max(1) as f64
+            ),
+        ]);
     }
+    report::table(&step_rows);
+    report::line(format!(
+        "attribution: {steps} compiled first-order steps (a WAM adaptation) on \
+         10 shots at the default geometry with a learnable mask: {} forward \
+         and {} backward per step. Adaptation and meta-training run this \
+         op list; the `Rc` graph only serves second-order MAML and \
+         attention capture.",
+        human_ns(u128::from(forward) * 1000 / steps as u128),
+        human_ns(u128::from(backward) * 1000 / steps as u128),
+    ));
 
     // --- Serve pipeline attribution ---------------------------------------
     report::section("serve pipeline: queue-wait vs forward share");

@@ -2,12 +2,13 @@
 //!
 //! [`Plan::run`] walks the flat op sequence over one preallocated arena
 //! slab — no graph nodes, no per-op `Vec` or `HashMap` bookkeeping, no
-//! pool traffic beyond the arena itself. Every op dispatches onto the
-//! resolved backend primitives ([`metadse_nn::prims::kernels`], looked
-//! up once per run so thread-local backend overrides behave exactly
-//! like a `predict` forward) and reproduces the tensor ops'
-//! accumulation orders bit-for-bit; see the module docs in
-//! [`crate::plan`] for the contract.
+//! pool traffic beyond the arena itself. A training step
+//! ([`crate::step::Step`]) runs the same forward ops, its loss, and then
+//! the backward ops over the same slab. Every op dispatches onto the
+//! resolved backend primitives ([`metadse_nn::prims::kernels`], looked up
+//! once per pass so thread-local backend overrides behave exactly like a
+//! graph forward) and reproduces the tensor ops' accumulation orders
+//! bit-for-bit; see the module docs in [`crate::plan`] for the contract.
 //!
 //! The only `unsafe` here is `views_mut`, which splits one arena slab
 //! into the disjoint per-op views the borrow checker cannot prove
@@ -23,13 +24,14 @@ use metadse_nn::prims::{self, Kernels, SPARSE_ZERO_FRACTION};
 use metadse_nn::tensor::pool::Buf;
 use metadse_nn::Elem;
 
-use crate::plan::{BufId, Op, Plan, LN_EPS, OP_KINDS, OP_KIND_NAMES};
+use crate::plan::{BufId, LinearW, Op, Plan, LN_EPS, OP_KINDS, OP_KIND_NAMES};
 
 /// A worker-owned execution arena. One slab backs every intermediate of
-/// a plan forward; it grows to the largest [`Plan::arena_len`] it has
-/// served and is reused across batches (and across plans — hot-swaps
-/// don't reallocate). The slab is the 32-byte-aligned pool buffer type,
-/// so arena offsets inherit the pool's SIMD alignment.
+/// a plan forward (and a training step's backward); it grows to the
+/// largest [`Plan::arena_len`] it has served and is reused across
+/// batches (and across plans — hot-swaps don't reallocate). The slab is
+/// the 32-byte-aligned pool buffer type, so arena offsets inherit the
+/// pool's SIMD alignment.
 #[derive(Debug, Default)]
 pub struct PlanArena {
     slab: Buf,
@@ -50,40 +52,50 @@ impl PlanArena {
     }
 
     /// Grows the slab to at least `len` elements and returns it.
-    fn ensure(&mut self, len: usize) -> &mut [Elem] {
+    pub(crate) fn ensure(&mut self, len: usize) -> &mut [Elem] {
         if self.slab.len() < len {
             self.slab.resize(len, 0.0);
         }
         &mut self.slab[..len]
     }
+
+    /// The first `len` elements of the slab.
+    pub(crate) fn head(&self, len: usize) -> &[Elem] {
+        &self.slab[..len]
+    }
 }
 
-/// Per-op wall-time attribution for one [`Plan::run_profiled`] call,
-/// bucketed by op kind.
+/// Per-op wall-time attribution for profiled runs, bucketed by op kind:
+/// forward ops in `us`, backward ops (a training step's) in
+/// `backward_us`, each indexed like [`crate::plan::OP_KIND_NAMES`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanProfile {
-    /// Microseconds per op kind, indexed like
-    /// [`crate::plan::OP_KIND_NAMES`].
+    /// Forward microseconds per op kind.
     pub us: [u64; OP_KINDS],
+    /// Backward microseconds per op kind (the kind of the forward op
+    /// each gradient op differentiates).
+    pub backward_us: [u64; OP_KINDS],
 }
 
 impl PlanProfile {
-    /// `(kind name, total µs)` rows for kinds that actually ran.
+    /// `(kind name, total µs)` forward rows for kinds that actually ran.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        OP_KIND_NAMES
-            .iter()
-            .zip(self.us)
-            .filter(|&(_, us)| us > 0)
-            .map(|(&name, us)| (name, us))
-            .collect()
+        rows_of(&self.us)
     }
 
-    /// Accumulates another profile into this one.
-    pub fn merge(&mut self, other: &PlanProfile) {
-        for (a, b) in self.us.iter_mut().zip(other.us) {
-            *a += b;
-        }
+    /// `(kind name, total µs)` backward rows for kinds that actually ran.
+    pub fn backward_rows(&self) -> Vec<(&'static str, u64)> {
+        rows_of(&self.backward_us)
     }
+}
+
+fn rows_of(us: &[u64; OP_KINDS]) -> Vec<(&'static str, u64)> {
+    OP_KIND_NAMES
+        .iter()
+        .zip(us)
+        .filter(|&(_, &us)| us > 0)
+        .map(|(&name, &us)| (name, us))
+        .collect()
 }
 
 /// Splits `arena` into `N` mutable views over the given ranges.
@@ -115,14 +127,15 @@ fn views_mut<const N: usize>(arena: &mut [Elem], ranges: [Range<usize>; N]) -> [
 impl Plan {
     /// Runs the plan on `inputs` (one configuration row per batch
     /// element), returning one prediction per row. Bit-identical to
-    /// `servable.instantiate()?.predict(inputs)` on the same thread.
+    /// `TransformerPredictor::predict` on the model the plan was
+    /// compiled from, on the same thread.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty, exceeds [`Plan::capacity`], or any
     /// row's arity differs from the compiled geometry.
     pub fn run(&self, inputs: &[Vec<Elem>], arena: &mut PlanArena) -> Vec<Elem> {
-        self.execute(inputs, arena, None)
+        self.predict(inputs, arena, None)
     }
 
     /// As [`Plan::run`], also accumulating per-op wall time into
@@ -134,15 +147,33 @@ impl Plan {
         arena: &mut PlanArena,
         profile: &mut PlanProfile,
     ) -> Vec<Elem> {
-        self.execute(inputs, arena, Some(profile))
+        self.predict(inputs, arena, Some(profile))
     }
 
-    fn execute(
+    fn predict(
         &self,
         inputs: &[Vec<Elem>],
         arena: &mut PlanArena,
-        mut profile: Option<&mut PlanProfile>,
+        profile: Option<&mut PlanProfile>,
     ) -> Vec<Elem> {
+        let b = inputs.len();
+        let slab = self.execute(inputs, None, false, arena, profile);
+        let [out] = views_mut(slab, [self.range(self.output, b)]);
+        out.to_vec()
+    }
+
+    /// Runs the forward on `inputs` — through the loss against `targets`
+    /// for a training plan, an inference plan takes none — and then, when
+    /// `backward` is set, every gradient. Returns the slab: a training
+    /// plan's loss and parameter gradients are read from it.
+    pub(crate) fn execute<'a>(
+        &self,
+        inputs: &[Vec<Elem>],
+        targets: Option<&[Elem]>,
+        backward: bool,
+        arena: &'a mut PlanArena,
+        mut profile: Option<&mut PlanProfile>,
+    ) -> &'a mut [Elem] {
         let b = inputs.len();
         assert!(b >= 1, "plan run needs at least one input row");
         assert!(
@@ -150,8 +181,8 @@ impl Plan {
             "batch of {b} exceeds plan capacity {}",
             self.capacity
         );
-        // Resolve the backend once per forward, exactly like a tensor
-        // forward pass — thread-local mode guards apply to this run.
+        // Resolve the backend once per pass, exactly like a tensor
+        // forward — thread-local mode guards apply to this run.
         let kb = prims::kernels();
         let slab = arena.ensure(self.arena_len());
 
@@ -168,22 +199,58 @@ impl Plan {
                 dst.copy_from_slice(row);
             }
         }
-
-        for op in &self.ops {
-            let t0 = profile.as_ref().map(|_| Instant::now());
-            self.step(op, b, kb, slab);
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                p.us[op.kind()] += t0.elapsed().as_micros() as u64;
+        match (targets, self.target) {
+            (None, None) => {}
+            (Some(targets), Some((y, _))) => {
+                assert_eq!(targets.len(), b, "one label per input row");
+                let [ys] = views_mut(slab, [self.range(y, b)]);
+                ys.copy_from_slice(targets);
             }
+            _ => panic!("a training plan runs with labels, an inference plan without"),
         }
 
-        let [out] = views_mut(slab, [self.range(self.output, b)]);
-        out.to_vec()
+        let mut timed = |ops: &[Op], backward: bool, slab: &mut [Elem]| {
+            for op in ops {
+                let t0 = profile.as_ref().map(|_| Instant::now());
+                self.step(op, b, kb, slab);
+                if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
+                    let us = if backward {
+                        &mut p.backward_us
+                    } else {
+                        &mut p.us
+                    };
+                    us[op.kind()] += t0.elapsed().as_micros() as u64;
+                }
+            }
+        };
+        timed(&self.ops, false, slab);
+        if backward {
+            // Parameters no op reads keep a zero gradient, as autograd
+            // gives an input the output does not depend on.
+            slab[..self.n_params].fill(0.0);
+            timed(&self.grad_ops, true, slab);
+        }
+        slab
     }
 
-    fn range(&self, id: BufId, b: usize) -> Range<usize> {
+    pub(crate) fn range(&self, id: BufId, b: usize) -> Range<usize> {
         let spec = &self.bufs[id.0];
         spec.offset..spec.offset + spec.len_at(b)
+    }
+
+    /// [`Plan::range`] of an optional buffer; an absent one is empty.
+    fn maybe_range(&self, id: Option<BufId>, b: usize) -> Range<usize> {
+        id.map_or(0..0, |id| self.range(id, b))
+    }
+
+    fn linear(&self, lin: usize) -> (&LinearW, &[Elem], &[Elem], &[Elem]) {
+        let lw = &self.linears[lin];
+        (
+            lw,
+            &self.weights[lw.w..lw.w + lw.k * lw.n],
+            &self.packed[lw.wt..lw.wt + lw.k * lw.n],
+            &self.weights[lw.bias..lw.bias + lw.n],
+        )
     }
 
     fn step(&self, op: &Op, b: usize, kb: Kernels, slab: &mut [Elem]) {
@@ -195,11 +262,13 @@ impl Plan {
             // one add rounding per element.
             Op::Embed { x, out } => {
                 let [xs, dst] = views_mut(slab, [self.range(x, b), self.range(out, b)]);
+                let table = &self.weights[self.table..self.table + s * d];
+                let dir = &self.weights[self.dir..self.dir + s * d];
                 for bi in 0..b {
                     for si in 0..s {
                         let xv = xs[bi * s + si];
-                        let t_row = &self.table[si * d..(si + 1) * d];
-                        let d_row = &self.dir[si * d..(si + 1) * d];
+                        let t_row = &table[si * d..(si + 1) * d];
+                        let d_row = &dir[si * d..(si + 1) * d];
                         let o_row = &mut dst[(bi * s + si) * d..(bi * s + si + 1) * d];
                         for ((o, &t), &dir) in o_row.iter_mut().zip(t_row).zip(d_row) {
                             *o = t + xv * dir;
@@ -214,6 +283,8 @@ impl Plan {
             Op::LayerNorm { src, dst, norm } => {
                 let nw = &self.norms[norm];
                 let dim = nw.dim;
+                let gamma = &self.weights[nw.gamma..nw.gamma + dim];
+                let beta = &self.weights[nw.beta..nw.beta + dim];
                 let inv = 1.0 / dim as Elem;
                 let [sx, out] = views_mut(slab, [self.range(src, b), self.range(dst, b)]);
                 let rows = sx.len() / dim;
@@ -236,7 +307,7 @@ impl Plan {
                         kb.sum_sq(o_row)
                     };
                     let sd = (s2 * inv + LN_EPS).sqrt();
-                    for ((o, &gm), &bt) in o_row.iter_mut().zip(&nw.gamma).zip(&nw.beta) {
+                    for ((o, &gm), &bt) in o_row.iter_mut().zip(gamma).zip(beta) {
                         let hv = *o / sd;
                         *o = hv * gm + bt;
                     }
@@ -254,7 +325,7 @@ impl Plan {
                 gelu,
                 add,
             } => {
-                let lw = &self.linears[lin];
+                let (lw, w, wt, bias) = self.linear(lin);
                 let (k, n) = (lw.k, lw.n);
                 let rows = rows_per_item * b;
                 match gelu {
@@ -262,11 +333,11 @@ impl Plan {
                         None => {
                             let [sx, out] =
                                 views_mut(slab, [self.range(src, b), self.range(dst, b)]);
-                            matmul_rows(kb, lw, &sx[..rows * k], &mut out[..rows * n], rows);
+                            matmul_rows(kb, (k, n), (w, wt), &sx[..rows * k], &mut out[..rows * n]);
                             // Identity bias: the tensor suffix-broadcast
                             // add, one rounding per element.
                             for o_row in out[..rows * n].chunks_exact_mut(n) {
-                                for (o, &bv) in o_row.iter_mut().zip(&lw.bias) {
+                                for (o, &bv) in o_row.iter_mut().zip(bias) {
                                     *o += bv;
                                 }
                             }
@@ -283,12 +354,12 @@ impl Plan {
                                 slab,
                                 [self.range(src, b), self.range(dst, b), self.range(res, b)],
                             );
-                            matmul_rows(kb, lw, &sx[..rows * k], &mut out[..rows * n], rows);
+                            matmul_rows(kb, (k, n), (w, wt), &sx[..rows * k], &mut out[..rows * n]);
                             for (o_row, a_row) in out[..rows * n]
                                 .chunks_exact_mut(n)
                                 .zip(rv[..rows * n].chunks_exact(n))
                             {
-                                for ((o, &bv), &av) in o_row.iter_mut().zip(&lw.bias).zip(a_row) {
+                                for ((o, &bv), &av) in o_row.iter_mut().zip(bias).zip(a_row) {
                                     *o = av + (*o + bv);
                                 }
                             }
@@ -308,10 +379,10 @@ impl Plan {
                                 self.range(tanh, b),
                             ],
                         );
-                        matmul_rows(kb, lw, &sx[..rows * k], &mut stage[..rows * n], rows);
+                        matmul_rows(kb, (k, n), (w, wt), &sx[..rows * k], &mut stage[..rows * n]);
                         kb.bias_gelu_forward(
                             &stage[..rows * n],
-                            &lw.bias,
+                            bias,
                             &mut out[..rows * n],
                             &mut tc[..rows * n],
                         );
@@ -348,7 +419,8 @@ impl Plan {
             // Per (b, h) block: q · kᵀ via the matmul_nt kernel's
             // per-block sparse/dense choice, then the scale (and
             // additive mask) folded in per element.
-            Op::AttnScores { q, key, dst } => {
+            Op::AttnScores { q, key, dst, mask } => {
+                let mask = mask.map(|off| &self.weights[off..off + s * s]);
                 let [qs, ks, out] = views_mut(
                     slab,
                     [self.range(q, b), self.range(key, b), self.range(dst, b)],
@@ -387,12 +459,12 @@ impl Plan {
                             );
                         }
                     }
-                    match &self.mask {
+                    match mask {
                         Some(m) => {
                             // mul_scalar then the suffix-broadcast mask
                             // add: two roundings per element, exactly
                             // the tensor op pair.
-                            for (o, &mv) in ob.iter_mut().zip(m.iter()) {
+                            for (o, &mv) in ob.iter_mut().zip(m) {
                                 *o = *o * self.scale + mv;
                             }
                         }
@@ -405,31 +477,31 @@ impl Plan {
                 }
             }
             // The fused trailing-axis softmax row kernel: running max,
-            // exponentials, backend-sum denominator (sequential for
-            // tiny rows), divide. The compiler emits `src == dst` —
-            // each element is read before it is overwritten at the
-            // same index, so running in place reproduces the
-            // two-buffer kernel's bits while skipping a whole
-            // `[b, h, s, s]` materialization.
-            Op::Softmax { src, dst } => {
-                let xs = if src == dst {
-                    let [xs] = views_mut(slab, [self.range(src, b)]);
-                    xs
-                } else {
-                    let [sx, out] = views_mut(slab, [self.range(src, b), self.range(dst, b)]);
-                    out[..sx.len()].copy_from_slice(sx);
-                    out
-                };
-                let rows = xs.len() / s;
-                for r in 0..rows {
-                    let row = &mut xs[r * s..(r + 1) * s];
+            // exponentials (written over `src`), backend-sum denominator
+            // (sequential for tiny rows), divide into `dst`. Inference
+            // emits `src == dst` — each element is read before it is
+            // overwritten at the same index, so running in place
+            // reproduces the two-buffer kernel's bits while skipping a
+            // whole `[b, h, s, s]` materialization. A training plan keeps
+            // the exponentials, probabilities and denominators apart.
+            Op::Softmax { src, dst, denom } => {
+                let apart = (src != dst).then_some(dst);
+                let [xs, probs, dens] = views_mut(
+                    slab,
+                    [
+                        self.range(src, b),
+                        self.maybe_range(apart, b),
+                        self.maybe_range(denom, b),
+                    ],
+                );
+                for (r, row) in xs.chunks_exact_mut(s).enumerate() {
                     let mut maxv = Elem::NEG_INFINITY;
                     for &v in row.iter() {
                         if v > maxv {
                             maxv = v;
                         }
                     }
-                    let denom = if s > prims::SEQ_EQUIV_MAX {
+                    let den = if s > prims::SEQ_EQUIV_MAX {
                         for v in row.iter_mut() {
                             *v = (*v - maxv).exp();
                         }
@@ -443,8 +515,17 @@ impl Plan {
                         }
                         acc
                     };
-                    for v in row.iter_mut() {
-                        *v /= denom;
+                    if let Some(slot) = dens.get_mut(r) {
+                        *slot = den;
+                    }
+                    if probs.is_empty() {
+                        for v in row.iter_mut() {
+                            *v /= den;
+                        }
+                    } else {
+                        for (o, &e) in probs[r * s..(r + 1) * s].iter_mut().zip(row.iter()) {
+                            *o = e / den;
+                        }
                     }
                 }
             }
@@ -518,14 +599,278 @@ impl Plan {
                     }
                 }
             }
+            // The fused mean-squared error: backend sum of squared
+            // differences times `1/b`.
+            Op::Mse { pred, target, loss } => {
+                let [p, t, l] = views_mut(
+                    slab,
+                    [
+                        self.range(pred, b),
+                        self.range(target, b),
+                        self.range(loss, b),
+                    ],
+                );
+                l[0] = kb.sum_sq_diff(p, t) * (1.0 / b as Elem);
+            }
+            // The loss is seeded with 1, so `∂loss/∂pred` starts from
+            // `1/b` (the graph's `1 · inv`).
+            Op::MseGrad { pred, target, dst } => {
+                let [p, t, g] = views_mut(
+                    slab,
+                    [
+                        self.range(pred, b),
+                        self.range(target, b),
+                        self.range(dst, b),
+                    ],
+                );
+                prims::sq_err_mean_backward(1.0 / b as Elem, p, t, g);
+            }
+            // The identity table's gradient is the token gradient summed
+            // over the batch (the broadcast's row fold, then the gather's
+            // scatter into a zeroed table); the value directions' is
+            // `g · x`, summed over the batch in the same order.
+            Op::EmbedGrad { x, g, table, dir } => {
+                let [xs, gs, gt, gd] = views_mut(
+                    slab,
+                    [
+                        self.range(x, b),
+                        self.range(g, b),
+                        self.range(table, b),
+                        self.range(dir, b),
+                    ],
+                );
+                sum_rows(kb, gs, gt);
+                if gd.len() == 1 {
+                    // One token of one feature: `sum_to` reduces the
+                    // products as one column sum.
+                    let products: Vec<Elem> =
+                        gs.iter().zip(xs.iter()).map(|(&g, &x)| g * x).collect();
+                    gd[0] = kb.sum(&products);
+                    return;
+                }
+                gd.fill(0.0);
+                for bi in 0..b {
+                    for si in 0..s {
+                        let xv = xs[bi * s + si];
+                        let g_row = &gs[(bi * s + si) * d..(bi * s + si + 1) * d];
+                        for (o, &gv) in gd[si * d..(si + 1) * d].iter_mut().zip(g_row) {
+                            *o += gv * xv;
+                        }
+                    }
+                }
+            }
+            Op::LayerNormGrad {
+                src,
+                g,
+                norm,
+                dst,
+                gamma,
+                beta,
+                scratch,
+            } => {
+                let nw = &self.norms[norm];
+                let [sx, gs, gx, gg, gb, sc] = views_mut(
+                    slab,
+                    [
+                        self.range(src, b),
+                        self.range(g, b),
+                        self.range(dst, b),
+                        self.range(gamma, b),
+                        self.range(beta, b),
+                        self.range(scratch, b),
+                    ],
+                );
+                prims::layernorm_backward(
+                    kb,
+                    sx,
+                    &self.weights[nw.gamma..nw.gamma + nw.dim],
+                    gs,
+                    LN_EPS,
+                    gx,
+                    (gg, gb),
+                    sc,
+                );
+            }
+            // Through the GELU first (into `gsum`), then the bias row
+            // fold and the matmul's input and weight gradients.
+            Op::LinearGrad {
+                src,
+                g,
+                lin,
+                rows_per_item,
+                gelu,
+                dst,
+                weight,
+                bias,
+            } => {
+                let (lw, w, _, bv) = self.linear(lin);
+                let (k, n) = (lw.k, lw.n);
+                let rows = rows_per_item * b;
+                let [mm, tanh, gsum] = gelu.map_or([None; 3], |(mm, tanh, gsum)| {
+                    [Some(mm), Some(tanh), Some(gsum)]
+                });
+                let [sx, gs, gx, gw, gb, mms, tc, gz] = views_mut(
+                    slab,
+                    [
+                        self.range(src, b),
+                        self.range(g, b),
+                        self.range(dst, b),
+                        self.range(weight, b),
+                        self.range(bias, b),
+                        self.maybe_range(mm, b),
+                        self.maybe_range(tanh, b),
+                        self.maybe_range(gsum, b),
+                    ],
+                );
+                let gz: &[Elem] = if gelu.is_some() {
+                    kb.bias_gelu_backward(&gs[..rows * n], mms, bv, tc, gz);
+                    gz
+                } else {
+                    &gs[..rows * n]
+                };
+                sum_rows(kb, gz, gb);
+                gx.fill(0.0);
+                gw.fill(0.0);
+                prims::matmul_backward(kb, gz, sx, w, (rows, k, n), Some(gx), Some(gw));
+            }
+            // Gradient of `probs · v` per (b, h) block.
+            Op::AttnContextGrad {
+                probs,
+                v,
+                g,
+                dprobs,
+                dv,
+            } => {
+                let [ps, vs, gs, gp, gv] = views_mut(
+                    slab,
+                    [
+                        self.range(probs, b),
+                        self.range(v, b),
+                        self.range(g, b),
+                        self.range(dprobs, b),
+                        self.range(dv, b),
+                    ],
+                );
+                gp.fill(0.0);
+                gv.fill(0.0);
+                for blk in 0..b * h {
+                    let (pr, vr) = (
+                        blk * s * s..(blk + 1) * s * s,
+                        blk * s * dk..(blk + 1) * s * dk,
+                    );
+                    prims::matmul_backward(
+                        kb,
+                        &gs[vr.clone()],
+                        &ps[pr.clone()],
+                        &vs[vr.clone()],
+                        (s, s, dk),
+                        Some(&mut gp[pr]),
+                        Some(&mut gv[vr]),
+                    );
+                }
+            }
+            Op::SoftmaxGrad {
+                g,
+                exps,
+                denom,
+                dst,
+                terms,
+            } => {
+                let [gs, es, dn, gx, tm] = views_mut(
+                    slab,
+                    [
+                        self.range(g, b),
+                        self.range(exps, b),
+                        self.range(denom, b),
+                        self.range(dst, b),
+                        self.range(terms, b),
+                    ],
+                );
+                prims::softmax_backward(kb, gs, es, dn, (s, 1), gx, tm);
+            }
+            // The mask's gradient is the scores' summed over every (b, h)
+            // block; the scale multiplies the scores' gradient in place
+            // before the `q · kᵀ` backward reads it.
+            Op::AttnScoresGrad {
+                q,
+                key,
+                g,
+                dq,
+                dk: dkey,
+                mask,
+                panel,
+            } => {
+                let [qs, ks, gs, gq, gk, pn, gm] = views_mut(
+                    slab,
+                    [
+                        self.range(q, b),
+                        self.range(key, b),
+                        self.range(g, b),
+                        self.range(dq, b),
+                        self.range(dkey, b),
+                        self.range(panel, b),
+                        self.maybe_range(mask, b),
+                    ],
+                );
+                if mask.is_some() {
+                    sum_rows(kb, gs, gm);
+                }
+                for v in gs.iter_mut() {
+                    *v *= self.scale;
+                }
+                gq.fill(0.0);
+                gk.fill(0.0);
+                for blk in 0..b * h {
+                    let (gr, qr) = (
+                        blk * s * s..(blk + 1) * s * s,
+                        blk * s * dk..(blk + 1) * s * dk,
+                    );
+                    prims::matmul_nt_backward(
+                        kb,
+                        &gs[gr],
+                        &qs[qr.clone()],
+                        &ks[qr.clone()],
+                        (s, dk, s),
+                        Some(&mut gq[qr.clone()]),
+                        Some(&mut gk[qr]),
+                        pn,
+                    );
+                }
+            }
+            Op::MeanPoolGrad { g, dst } => {
+                let [gs, gx] = views_mut(slab, [self.range(g, b), self.range(dst, b)]);
+                for bi in 0..b {
+                    for j in 0..d {
+                        let gv = gs[bi * d + j] * self.inv_seq;
+                        for si in 0..s {
+                            gx[(bi * s + si) * d + j] = gv;
+                        }
+                    }
+                }
+            }
+            Op::AddInto { dst, src } => {
+                let [acc, add] = views_mut(slab, [self.range(dst, b), self.range(src, b)]);
+                for (a, &v) in acc.iter_mut().zip(add.iter()) {
+                    *a += v;
+                }
+            }
         }
     }
 }
 
-/// `out[i, :] = src[i, :] · W` with the matmul kernel's data-dependent
-/// path choice over the whole activation block (linears are a single
-/// "batch", so the decision covers all rows — exactly the tensor
-/// kernel's granularity for a 2-D matmul).
+/// `out = Σ` over the rows of `src` (rows of `out.len()` elements), as
+/// `sum_to` reduces a broadcast leading axis: a one-element row is one
+/// backend `sum` down the column (its trailing-axis fast path), wider
+/// rows fold in ascending row order into zeros.
+fn sum_rows(kb: Kernels, src: &[Elem], out: &mut [Elem]) {
+    if out.len() == 1 {
+        out[0] = kb.sum(src);
+    } else {
+        out.fill(0.0);
+        kb.fold_rows(src, out);
+    }
+}
+
 /// Decision-equivalent replay of the matmul kernel's sparsity test,
 /// `count(zeros) as f64 >= SPARSE_ZERO_FRACTION * len as f64`, scanned
 /// in chunks with two early exits: once enough zeros are seen the
@@ -556,14 +901,18 @@ fn is_sparse(xs: &[Elem]) -> bool {
     zeros >= need
 }
 
+/// `out[i, :] = src[i, :] · W` with the matmul kernel's data-dependent
+/// path choice over the whole activation block (linears are a single
+/// "batch", so the decision covers all rows — exactly the tensor
+/// kernel's granularity for a 2-D matmul).
 fn matmul_rows(
     kb: Kernels,
-    lw: &crate::plan::LinearW,
+    (k, n): (usize, usize),
+    (w, wt): (&[Elem], &[Elem]),
     src: &[Elem],
     out: &mut [Elem],
-    rows: usize,
 ) {
-    let (k, n) = (lw.k, lw.n);
+    let rows = src.len() / k;
     if is_sparse(src) {
         out.fill(0.0);
         for i in 0..rows {
@@ -572,14 +921,14 @@ fn matmul_rows(
                 if a == 0.0 {
                     continue;
                 }
-                kb.axpy(a, &lw.w[kk * n..(kk + 1) * n], &mut out[i * n..(i + 1) * n]);
+                kb.axpy(a, &w[kk * n..(kk + 1) * n], &mut out[i * n..(i + 1) * n]);
             }
         }
     } else {
         for i in 0..rows {
             kb.dot_block(
                 &src[i * k..(i + 1) * k],
-                &lw.wt,
+                wt,
                 k,
                 &mut out[i * n..(i + 1) * n],
             );
@@ -590,8 +939,8 @@ fn matmul_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metadse::predictor::{PredictorConfig, TransformerPredictor};
-    use metadse::ServablePredictor;
+    use crate::predictor::{PredictorConfig, TransformerPredictor};
+    use crate::ServablePredictor;
     use metadse_nn::autograd;
 
     fn servable(seed: u64) -> ServablePredictor {
@@ -685,10 +1034,11 @@ mod tests {
         for (x, y) in plain.iter().zip(&profiled) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // Rows only name known kinds; totals are ≥ 0 by type.
+        // Rows only name known kinds; an inference run has no backward.
         for (name, _) in profile.rows() {
             assert!(OP_KIND_NAMES.contains(&name));
         }
+        assert!(profile.backward_rows().is_empty());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! is identical at every scale.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use metadse_obs as obs;
 use metadse_obs::report;
@@ -232,19 +233,20 @@ impl Environment {
     }
 }
 
-/// The file `pretrain_metadse` caches `model`'s pre-trained parameters
-/// in under `METADSE_CACHE`, named by an FNV-1a hash of everything
-/// pre-training reads: the model's initial parameters (geometry and
-/// seed), the MAML settings, the metric, the workload split, and every
-/// feature and label bit of every dataset. A simulator change or a new
-/// environment seed therefore misses the cache instead of loading a
+/// The content key of a pre-training: an FNV-1a hash of everything it
+/// reads — the model's initial parameters (geometry and seed), the MAML
+/// settings, the metric, the workload split, and every feature and label
+/// bit of every dataset. Equal keys pre-train to the same parameters, so
+/// `pretrain_metadse` memoizes by it for the life of the process and
+/// names its `METADSE_CACHE` checkpoint after it; a simulator change or
+/// a new environment seed therefore misses both instead of reusing a
 /// stale model.
-fn pretrain_cache_path(
+fn pretrain_key(
     env: &Environment,
     model: &TransformerPredictor,
     metric: Metric,
     maml: &MamlConfig,
-) -> std::path::PathBuf {
+) -> u64 {
     // The thread count never changes the trained parameters
     // (parallelism is bit-identical), and checkpoint/resume is
     // bit-identical to an uninterrupted run, so neither may change the
@@ -264,30 +266,34 @@ fn pretrain_cache_path(
             key.f64(sample.power_w);
         }
     }
-    std::path::Path::new("results")
-        .join("checkpoints")
-        .join(format!("pretrain-{:016x}.ckpt", fnv1a(&key.into_bytes())))
+    fnv1a(&key.into_bytes())
 }
 
-/// Pre-trains a MetaDSE predictor on the environment's training split and
-/// builds its WAM mask. Returns `(model, mask)`.
-///
-/// When the `METADSE_CACHE` environment variable is set, pre-trained
-/// parameters are checkpointed under `results/checkpoints/`, keyed by
-/// the content pre-training reads, so repeated harness runs skip the
-/// meta-training cost.
-pub fn pretrain_metadse(
+/// Pre-trained parameter values by [`pretrain_key`], for the life of the
+/// process: `all` regenerates several figures from the same
+/// pre-training, and each equal configuration trains once.
+static PRETRAINED: Mutex<BTreeMap<u64, Vec<Vec<Elem>>>> = Mutex::new(BTreeMap::new());
+
+/// `model`'s parameter values after pre-training under `maml`, from this
+/// process's memo, else the `METADSE_CACHE` checkpoint under
+/// `results/checkpoints/`, else a fresh [`maml::pretrain`]; `true` when
+/// it pre-trained. Leaves `model` holding the values.
+fn pretrained(
     env: &Environment,
-    scale: &Scale,
+    model: &TransformerPredictor,
     metric: Metric,
     maml: &MamlConfig,
-) -> (TransformerPredictor, metadse_nn::layers::Param) {
-    let _span = obs::span("experiment/pretrain");
-    let model = TransformerPredictor::new(scale.predictor, scale.seed);
-    let cache_path = std::env::var("METADSE_CACHE")
-        .ok()
-        .map(|_| pretrain_cache_path(env, &model, metric, maml));
-
+) -> (Vec<Vec<Elem>>, bool) {
+    let key = pretrain_key(env, model, metric, maml);
+    if let Some(values) = PRETRAINED.lock().unwrap().get(&key) {
+        model.load_values(values);
+        return (values.clone(), false);
+    }
+    let cache_path = std::env::var("METADSE_CACHE").ok().map(|_| {
+        std::path::Path::new("results")
+            .join("checkpoints")
+            .join(format!("pretrain-{key:016x}.ckpt"))
+    });
     let loaded = cache_path.as_ref().is_some_and(|p| {
         p.exists() && metadse_nn::serialize::load_params(&model.params(), p).is_ok()
     });
@@ -309,7 +315,7 @@ pub fn pretrain_metadse(
             _ => maml,
         };
         maml::pretrain(
-            &model,
+            model,
             &env.train_datasets(),
             &env.validation_datasets(),
             metric,
@@ -324,7 +330,28 @@ pub fn pretrain_metadse(
             }
         }
     }
+    let values = model.snapshot_values();
+    PRETRAINED.lock().unwrap().insert(key, values.clone());
+    (values, !loaded)
+}
 
+/// Pre-trains a MetaDSE predictor on the environment's training split and
+/// builds its WAM mask. Returns `(model, mask)`.
+///
+/// Equal inputs pre-train once per process (memoized by content, see
+/// `pretrain_key`). When the `METADSE_CACHE` environment variable is
+/// set, pre-trained parameters are also checkpointed under
+/// `results/checkpoints/`, keyed the same way, so repeated harness runs
+/// skip the meta-training cost.
+pub fn pretrain_metadse(
+    env: &Environment,
+    scale: &Scale,
+    metric: Metric,
+    maml: &MamlConfig,
+) -> (TransformerPredictor, metadse_nn::layers::Param) {
+    let _span = obs::span("experiment/pretrain");
+    let model = TransformerPredictor::new(scale.predictor, scale.seed);
+    pretrained(env, &model, metric, maml);
     let mask = wam::generate_mask(&model, &env.train_datasets(), &scale.wam, 64);
     (model, mask)
 }
@@ -745,27 +772,72 @@ mod tests {
         (env, scale)
     }
 
-    /// The pretrain cache key follows the data: a rebuilt identical
-    /// environment keeps its path, while another seed or one changed
-    /// label moves it.
+    /// The pretrain key follows the data: a rebuilt identical
+    /// environment keeps it, while another seed or one changed label
+    /// moves it.
     #[test]
-    fn pretrain_cache_path_is_keyed_by_content() {
+    fn pretrain_key_follows_the_content() {
         let scale = Scale {
             samples_per_workload: 8,
             ..Scale::quick()
         };
         let model = TransformerPredictor::new(scale.predictor, scale.seed);
-        let path = |env: &Environment| pretrain_cache_path(env, &model, Metric::Ipc, &scale.maml);
+        let key = |env: &Environment| pretrain_key(env, &model, Metric::Ipc, &scale.maml);
         let env = Environment::build(&scale, 21);
-        assert_eq!(path(&Environment::build(&scale, 21)), path(&env));
-        assert_ne!(path(&Environment::build(&scale, 22)), path(&env));
+        assert_eq!(key(&Environment::build(&scale, 21)), key(&env));
+        assert_ne!(key(&Environment::build(&scale, 22)), key(&env));
 
         let mut relabeled = env.clone();
         let dataset = relabeled.datasets.values_mut().next().unwrap();
         let mut samples = dataset.samples().to_vec();
         samples[0].ipc += 1e-9;
         *dataset = Dataset::from_samples(dataset.workload_name(), samples);
-        assert_ne!(path(&relabeled), path(&env));
+        assert_ne!(key(&relabeled), key(&env));
+    }
+
+    /// Equal inputs pre-train once per process: a second
+    /// `pretrain_metadse` returns the first's parameters and mask bit
+    /// for bit without training, and another support size trains.
+    #[test]
+    fn pretraining_is_memoized_by_content() {
+        let scale = Scale {
+            samples_per_workload: 60,
+            maml: MamlConfig {
+                epochs: 1,
+                iterations_per_epoch: 2,
+                val_tasks: 1,
+                support_size: 6,
+                query_size: 9,
+                ..MamlConfig::tiny()
+            },
+            ..Scale::quick()
+        };
+        let env = Environment::build(&scale, 41);
+        let bits = |model: &TransformerPredictor, mask: &metadse_nn::layers::Param| {
+            let mut v: Vec<u64> = model
+                .snapshot_values()
+                .concat()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            v.extend(mask.get().to_vec().iter().map(|x| x.to_bits()));
+            v
+        };
+        let (model, mask) = pretrain_metadse(&env, &scale, Metric::Ipc, &scale.maml);
+        let fresh = TransformerPredictor::new(scale.predictor, scale.seed);
+        let (_, trained) = pretrained(&env, &fresh, Metric::Ipc, &scale.maml);
+        assert!(!trained, "equal inputs must not pre-train again");
+        let (again, again_mask) = pretrain_metadse(&env, &scale, Metric::Ipc, &scale.maml);
+        assert_eq!(bits(&model, &mask), bits(&again, &again_mask));
+
+        let other = MamlConfig {
+            support_size: 7,
+            ..scale.maml.clone()
+        };
+        let fresh = TransformerPredictor::new(scale.predictor, scale.seed);
+        let (values, trained) = pretrained(&env, &fresh, Metric::Ipc, &other);
+        assert!(trained, "another support size must pre-train");
+        assert_ne!(values, model.snapshot_values());
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!    statistics (Fig. 4) and fine-tuned — together with the model — on a
 //!    few shots from the unseen target workload (Algorithm 2).
 //!
+//! Both stages train through compiled first-order steps ([`step`]) over
+//! the same fixed-shape op list that serves predictions ([`plan`]); the
+//! `Rc` autograd graph remains for second-order MAML, attention capture
+//! and as the test oracle.
+//!
 //! Baselines ([`trendse`]), per-task evaluation ([`evaluation`]),
 //! experiment harnesses for every paper table/figure ([`experiment`]), a
 //! surrogate-driven explorer ([`explorer`]), and crash-safe training
@@ -38,12 +43,15 @@
 pub mod ablation;
 pub mod checkpoint;
 pub mod evaluation;
+mod exec;
 pub mod experiment;
 pub mod explorer;
 pub mod maml;
+pub mod plan;
 pub mod predictor;
 pub mod servable;
 pub mod shard;
+pub mod step;
 pub mod trendse;
 pub mod wam;
 
@@ -51,8 +59,10 @@ pub use checkpoint::{CheckpointConfig, Checkpointer, FaultMode, FaultSpec, Train
 pub use evaluation::{EvalSummary, TaskScores};
 pub use explorer::{Explorer, ExplorerConfig, ExplorerState, FrontDelta, ParetoEntry};
 pub use maml::{MamlConfig, PretrainReport};
+pub use plan::{Plan, PlanArena, PlanProfile};
 pub use predictor::{PredictorConfig, TransformerPredictor};
 pub use servable::ServablePredictor;
 pub use shard::{shard_of, ShardSpec};
+pub use step::Step;
 pub use trendse::{TrEnDse, TrEnDseConfig, TrEnDseTransformer};
 pub use wam::{AdaptConfig, AttentionStats, WamConfig};

@@ -1,16 +1,20 @@
 //! MAML-based pre-training (paper Algorithm 1).
 //!
 //! The inner loop adapts *fast weights* on a task's support set; the outer
-//! loop updates the meta-parameters θ from the adapted model's query loss.
-//! Fast weights are functional: the update `θ̂ ← θ̂ − α ∇L` is built with
-//! differentiable tensor operations and **swapped into** the model's
-//! parameter slots, so
+//! loop updates the meta-parameters θ from the adapted model's query loss
+//! with Adam.
 //!
-//! * with `second_order = false`, inner gradients are detached and the
-//!   meta-gradient is the first-order MAML approximation (FOMAML), and
-//! * with `second_order = true`, inner gradients stay in the graph and the
-//!   meta-gradient differentiates *through* the inner updates — full MAML,
-//!   enabled by the double-backward autodiff of `metadse-nn`.
+//! * With `second_order = false` (the default), inner gradients are
+//!   detached and the meta-gradient is the first-order MAML approximation
+//!   (FOMAML): every fast-weight update `θ̂ ← θ̂ − α ∇L` passes the query
+//!   gradient through unchanged, so the meta-gradient is the gradient at
+//!   the adapted weights. The inner loop, the query loss and that gradient
+//!   run on a compiled first-order [`Step`].
+//! * With `second_order = true`, the update is built with differentiable
+//!   tensor operations and **swapped into** the model's parameter slots;
+//!   inner gradients stay in the `Rc` graph and the meta-gradient
+//!   differentiates *through* the inner updates — full MAML, enabled by
+//!   the double-backward autodiff of `metadse-nn`.
 //!
 //! # Parallel execution
 //!
@@ -40,6 +44,7 @@ use metadse_workloads::{Dataset, Metric, Task, TaskSampler};
 
 use crate::checkpoint::{CheckpointConfig, Checkpointer, TrainState};
 use crate::predictor::{PredictorConfig, TransformerPredictor};
+use crate::step::{self, Step};
 
 /// Hyperparameters of the MAML pre-training stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,8 +143,10 @@ pub struct PretrainReport {
 /// the caller can [`layers::restore`] them.
 ///
 /// With `create_graph = true` the returned originals remain connected to
-/// the fast weights (second-order MAML); with `false` the connection is
-/// first-order only.
+/// the fast weights through the `Rc` graph (second-order MAML); with
+/// `false` the steps run compiled ([`Step`]) and the slots receive the
+/// adapted values as fresh leaves — the first-order connection, whose
+/// gradient passes through every update unchanged.
 pub fn inner_adapt(
     model: &TransformerPredictor,
     support_x: &[Vec<Elem>],
@@ -150,6 +157,14 @@ pub fn inner_adapt(
 ) -> Vec<Tensor> {
     let params = model.params();
     let theta = layers::snapshot(&params);
+    if !create_graph {
+        let mut step = Step::compile(model, support_x.len());
+        inner_steps(&mut step, support_x, support_y, steps, lr);
+        if steps > 0 {
+            step.store(model);
+        }
+        return theta;
+    }
     let mut current = theta.clone();
     let mut first_loss = 0.0;
     let mut last_loss = 0.0;
@@ -161,7 +176,7 @@ pub fn inner_adapt(
             }
             last_loss = loss.value();
         });
-        let grads = grad(&loss, &current, create_graph);
+        let grads = grad(&loss, &current, true);
         let updated: Vec<Tensor> = current
             .iter()
             .zip(&grads)
@@ -170,6 +185,25 @@ pub fn inner_adapt(
         layers::restore(&params, &updated);
         current = updated;
     }
+    record_inner_loss_delta(steps, first_loss, last_loss);
+    theta
+}
+
+/// The first-order inner loop on a compiled step, from the values it
+/// holds.
+fn inner_steps(
+    step: &mut Step,
+    support_x: &[Vec<Elem>],
+    support_y: &[Elem],
+    steps: usize,
+    lr: Elem,
+) {
+    let rates = vec![lr; step.param_ranges().count()];
+    let (first, last) = step::sgd(step, support_x, support_y, steps, |_| rates.clone());
+    record_inner_loss_delta(steps, first, last);
+}
+
+fn record_inner_loss_delta(steps: usize, first_loss: Elem, last_loss: Elem) {
     obs::with(|| {
         if steps > 0 {
             // How much the support loss dropped over the inner loop —
@@ -177,7 +211,6 @@ pub fn inner_adapt(
             obs::histogram("maml/inner_loss_delta", first_loss - last_loss);
         }
     });
-    theta
 }
 
 /// Evaluates `f(model, i)` for `i in 0..n`, returning results in index
@@ -392,13 +425,37 @@ impl WorkerSnapshot {
     }
 }
 
-/// One meta-batch member: inner-adapts `model` on the task, differentiates
-/// the query loss w.r.t. the pre-adaptation parameters, restores the model
-/// and returns `(query loss, per-parameter meta-gradient buffers)`.
-///
-/// Pure in the meta-parameters: the model is left exactly as found, so the
-/// same function serves the serial loop and parallel workers.
-fn task_meta_grads(
+/// One meta-batch member, first-order: inner-adapts the worker's step
+/// (which holds the meta-parameters on entry) on the task's support set
+/// and returns `(query loss, per-parameter meta-gradient buffers)`. Each
+/// fast-weight update passes the gradient through unchanged, so the
+/// first-order meta-gradient is the step's gradient at the adapted
+/// values.
+fn first_order_meta_grads(
+    step: &mut Step,
+    task: &Task,
+    config: &MamlConfig,
+) -> (Elem, Vec<Vec<Elem>>) {
+    inner_steps(
+        step,
+        &task.support_x,
+        &task.support_y,
+        config.inner_steps,
+        config.inner_lr,
+    );
+    let loss = step.loss_and_grad(&task.query_x, &task.query_y);
+    let grads = step.grads();
+    let meta = step
+        .param_ranges()
+        .map(|(_, r)| grads[r].to_vec())
+        .collect();
+    (loss, meta)
+}
+
+/// One meta-batch member, second-order: differentiates the query loss
+/// through the inner updates on the `Rc` graph, with respect to the
+/// pre-adaptation parameters, and leaves `model` exactly as found.
+fn second_order_meta_grads(
     model: &TransformerPredictor,
     task: &Task,
     config: &MamlConfig,
@@ -410,7 +467,7 @@ fn task_meta_grads(
         &task.support_y,
         config.inner_steps,
         config.inner_lr,
-        config.second_order,
+        true,
     );
     let query_loss = model.mse_on(&task.query_x, &task.query_y);
     let value = query_loss.value();
@@ -420,18 +477,51 @@ fn task_meta_grads(
 }
 
 /// Post-adaptation loss of the model on one task, leaving the model's
-/// parameters untouched (adapt on support, evaluate on query, restore).
+/// parameters untouched (adapt on support, evaluate on query).
 pub fn adapted_query_loss(
     model: &TransformerPredictor,
     task: &metadse_workloads::Task,
     steps: usize,
     lr: Elem,
 ) -> Elem {
-    let params = model.params();
-    let theta = inner_adapt(model, &task.support_x, &task.support_y, steps, lr, false);
-    let loss = metadse_nn::autograd::no_grad(|| model.mse_on(&task.query_x, &task.query_y));
-    layers::restore(&params, &theta);
-    loss.value()
+    let mut step = Step::compile(model, task.support_x.len().max(task.query_x.len()));
+    adapted_step_loss(&mut step, task, steps, lr)
+}
+
+/// [`adapted_query_loss`] on a compiled step, from the values it holds.
+fn adapted_step_loss(step: &mut Step, task: &Task, steps: usize, lr: Elem) -> Elem {
+    inner_steps(step, &task.support_x, &task.support_y, steps, lr);
+    step.loss(&task.query_x, &task.query_y)
+}
+
+/// Fans `f(step, i)` out over `n` tasks like [`fan_out_tasks`], giving
+/// each worker one compiled step for `rows`-row batches, compiled from
+/// its predictor, that holds the model's values at the start of every
+/// task.
+fn fan_out_steps<T: Send + Sync>(
+    model: &TransformerPredictor,
+    parallel: &ParallelConfig,
+    n: usize,
+    rows: usize,
+    f: impl Fn(&mut Step, usize) -> T + Sync,
+) -> Vec<T> {
+    fan_out_staged(
+        model,
+        parallel,
+        n,
+        |m| {
+            let step = Step::compile(m, rows);
+            (step.values().to_vec(), step)
+        },
+        |_, (theta, step), i| {
+            step.set_values(theta);
+            (f(step, i), 0)
+        },
+        |_, _, _, _, _| -> () { unreachable!("one-stage fan-outs release no units") },
+    )
+    .into_iter()
+    .map(|(value, _)| value)
+    .collect()
 }
 
 /// Hash of everything a checkpoint must agree on to be resumable: the
@@ -613,9 +703,16 @@ pub fn pretrain(
                 .iter()
                 .map(|dataset| sampler.sample(dataset, metric, &mut rng))
                 .collect();
-            let outcomes = fan_out_tasks(model, &config.parallel, tasks.len(), |m, i| {
-                task_meta_grads(m, &tasks[i], config)
-            });
+            let outcomes = if config.second_order {
+                fan_out_tasks(model, &config.parallel, tasks.len(), |m, i| {
+                    second_order_meta_grads(m, &tasks[i], config)
+                })
+            } else {
+                let rows = config.support_size.max(config.query_size);
+                fan_out_steps(model, &config.parallel, tasks.len(), rows, |s, i| {
+                    first_order_meta_grads(s, &tasks[i], config)
+                })
+            };
 
             // Reduce in task order — the exact summation order of the
             // serial loop, so the averaged gradient is bit-identical.
@@ -748,8 +845,9 @@ fn meta_validate(
             tasks.push(sampler.sample(dataset, metric, rng));
         }
     }
-    let losses = fan_out_tasks(model, &config.parallel, tasks.len(), |m, i| {
-        adapted_query_loss(m, &tasks[i], config.inner_steps, config.inner_lr)
+    let rows = config.support_size.max(config.query_size);
+    let losses = fan_out_steps(model, &config.parallel, tasks.len(), rows, |s, i| {
+        adapted_step_loss(s, &tasks[i], config.inner_steps, config.inner_lr)
     });
     let mut total = 0.0;
     for loss in &losses {

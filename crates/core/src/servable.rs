@@ -14,9 +14,9 @@
 //!
 //! [`ServablePredictor::instantiate`] rebuilds a live, thread-local
 //! [`TransformerPredictor`] (with the mask installed) whose `predict` is
-//! bit-identical to the captured model's — the reference the serving
-//! layer's compiled plans are checked against, which read the same
-//! weights through [`ServablePredictor::param_entries`].
+//! bit-identical to the captured model's — the reference compiled plans
+//! ([`crate::plan`]) are checked against, which read the same weights
+//! through [`ServablePredictor::param_entries`].
 //!
 //! Serialized ([`ServablePredictor::to_bytes`]), an artifact is a sealed
 //! container ([`metadse_nn::format`]) — on disk, a generation of the
@@ -121,8 +121,8 @@ impl ServablePredictor {
     /// Decodes the embedded parameter payload into named
     /// `(name, shape, values)` entries, in payload order, without
     /// instantiating a model — the extraction path for consumers that
-    /// compile the weights into another execution form (e.g. the
-    /// serving plan compiler in `metadse-serve`).
+    /// compile the weights into another execution form (e.g. the plan
+    /// compiler, [`crate::plan::Plan::compile`]).
     ///
     /// # Errors
     ///
@@ -146,9 +146,9 @@ impl ServablePredictor {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] if the embedded parameter payload does
-    /// not match the declared geometry (possible only for hand-built
-    /// bytes: decode checks the geometry and the payload's format, not
-    /// that the two agree).
+    /// not match the declared geometry — impossible for an artifact from
+    /// [`ServablePredictor::capture`] or
+    /// [`ServablePredictor::from_bytes`], which checks that they agree.
     pub fn instantiate(&self) -> Result<TransformerPredictor, CheckpointError> {
         let model = TransformerPredictor::new(self.config, 0);
         load_params_from_bytes(&model.params(), &self.params)?;
@@ -190,12 +190,16 @@ impl ServablePredictor {
     }
 
     /// Decodes a sealed artifact, verifying the container checksum, the
-    /// geometry, the parameter payload, and the content fingerprint.
+    /// geometry, that the parameter payload holds every tensor the
+    /// geometry reads at its shape, and the content fingerprint: an
+    /// artifact that decodes always compiles into a
+    /// [`crate::plan::Plan`].
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Format`] for torn/corrupt/truncated
-    /// input, a geometry [`PredictorConfig::validate`] rejects, or a
+    /// input, a geometry [`PredictorConfig::validate`] rejects, a
+    /// missing or misshapen parameter (named in the message), or a
     /// fingerprint that does not match the decoded content.
     pub fn from_bytes(bytes: &[u8]) -> Result<ServablePredictor, CheckpointError> {
         let (version, payload) = unseal(MAGIC, bytes)?;
@@ -222,8 +226,11 @@ impl ServablePredictor {
         config.validate().map_err(CheckpointError::Format)?;
         let params_len = r.u64()? as usize;
         let params = r.take(params_len)?.to_vec();
-        // Validate the embedded payload now, not at first instantiate.
-        entries_from_bytes(&params)?;
+        // Validate the embedded payload now, not at first instantiate:
+        // every parameter the geometry reads must be there at its shape,
+        // checked by the plan compiler's own lookup, so an artifact that
+        // decodes always compiles.
+        crate::plan::check_entries(&config, entries_from_bytes(&params)?)?;
         let mask = match r.u32()? {
             0 => None,
             1 => {
@@ -399,6 +406,36 @@ mod tests {
                 other => panic!("heads = {heads} accepted: {other:?}"),
             }
         }
+    }
+
+    /// A payload that does not fit its geometry — the parameters of a
+    /// model half as wide, sealed with a matching fingerprint — is
+    /// refused at decode, naming the first misshapen parameter.
+    #[test]
+    fn payload_that_does_not_fit_the_geometry_is_rejected() {
+        let wide = ServablePredictor::capture(&small_model(16), None, "ipc");
+        let mut servable = ServablePredictor::capture(
+            &TransformerPredictor::new(
+                PredictorConfig {
+                    d_model: 4,
+                    d_hidden: 8,
+                    ..*wide.config()
+                },
+                16,
+            ),
+            None,
+            "ipc",
+        );
+        servable.config = *wide.config();
+        servable.fingerprint = content_fingerprint(&servable.config, "ipc", &servable.params, None);
+        match ServablePredictor::from_bytes(&servable.to_bytes()) {
+            Err(CheckpointError::Format(message)) => assert!(
+                message.contains("\"predictor.token.table\" has shape [6, 4]"),
+                "{message}"
+            ),
+            other => panic!("misshapen payload accepted: {other:?}"),
+        }
+        assert!(ServablePredictor::from_bytes(&wide.to_bytes()).is_ok());
     }
 
     #[test]

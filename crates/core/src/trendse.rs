@@ -17,14 +17,15 @@ use rand::SeedableRng;
 
 use metadse_mlkit::wasserstein::wasserstein_1d;
 use metadse_mlkit::{GradientBoosting, RandomForest, Regressor, RidgeRegression};
-use metadse_nn::autograd::grad;
 use metadse_nn::layers::Module;
 use metadse_nn::optim::{Adam, Optimizer};
 use metadse_nn::Elem;
 use metadse_parallel::ParallelConfig;
 use metadse_workloads::{Dataset, Metric};
 
+use crate::plan::{Plan, PlanArena};
 use crate::predictor::{PredictorConfig, TransformerPredictor};
+use crate::step::Step;
 
 /// TrEnDSE hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,12 +212,14 @@ impl TrEnDseTransformer {
             self.batch,
             self.selector.config.seed,
         );
-        model.predict(query_x)
+        Plan::from_model(&model, query_x.len()).run(query_x, &mut PlanArena::new())
     }
 }
 
 /// Plain supervised mini-batch training of a transformer predictor (used
-/// by TrEnDSE-Transformer and as the non-meta pre-training ablation).
+/// by TrEnDSE-Transformer and as the non-meta pre-training ablation):
+/// each mini-batch's gradient comes from a compiled [`Step`], and Adam
+/// updates the model's parameter slots.
 pub fn train_supervised(
     model: &TransformerPredictor,
     x: &[Vec<Elem>],
@@ -228,8 +231,8 @@ pub fn train_supervised(
 ) {
     assert!(!x.is_empty(), "cannot train on empty data");
     assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-    let params = model.params();
-    let mut optimizer = Adam::new(params.clone(), lr);
+    let mut optimizer = Adam::new(model.params(), lr);
+    let mut step = Step::compile(model, batch.clamp(1, x.len()));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..x.len()).collect();
     for _ in 0..epochs {
@@ -240,10 +243,9 @@ pub fn train_supervised(
         for chunk in order.chunks(batch.max(1)) {
             let bx: Vec<Vec<Elem>> = chunk.iter().map(|&i| x[i].clone()).collect();
             let by: Vec<Elem> = chunk.iter().map(|&i| y[i]).collect();
-            let loss = model.mse_on(&bx, &by);
-            let tensors: Vec<_> = params.iter().map(|p| p.get()).collect();
-            let grads = grad(&loss, &tensors, false);
-            optimizer.step(&grads);
+            step.set_values(&model.snapshot_values().concat());
+            step.loss_and_grad(&bx, &by);
+            optimizer.step(&step.grad_tensors());
         }
     }
 }

@@ -9,7 +9,7 @@
 //! parameter and fine-tuned together with the model during adaptation, with
 //! cosine-annealed SGD (§VI-A).
 
-use metadse_nn::autograd::{grad, no_grad};
+use metadse_nn::autograd::no_grad;
 use metadse_nn::layers::{self, Module, Param};
 use metadse_nn::optim::CosineAnnealing;
 use metadse_nn::{Elem, Tensor};
@@ -18,7 +18,9 @@ use metadse_parallel::ParallelConfig;
 use metadse_workloads::{Dataset, Sample, Task};
 
 use crate::maml::{fan_out_staged, fan_out_tasks};
+use crate::plan::{Plan, PlanArena};
 use crate::predictor::TransformerPredictor;
+use crate::step::{self, Step};
 
 /// Mask-generation hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,43 +266,43 @@ impl Default for AdaptConfig {
 ///
 /// If a learnable WAM mask is installed, it is part of `model.params()` and
 /// trains along with the rest — exactly Algorithm 2's
-/// `M.required_grad = True`.
+/// `M.required_grad = True`. The steps run compiled ([`Step`]); the
+/// adapted values land in the model's parameter slots, the installed
+/// mask's slot included.
 pub fn adapt(
     model: &TransformerPredictor,
     support_x: &[Vec<Elem>],
     support_y: &[Elem],
     config: &AdaptConfig,
 ) -> Vec<Tensor> {
+    let theta = layers::snapshot(&model.params());
+    let mut step = Step::compile(model, support_x.len());
+    adapt_step(&mut step, support_x, support_y, config);
+    if config.steps > 0 {
+        step.store(model);
+    }
+    theta
+}
+
+/// [`adapt`] on a compiled step, from the values it holds.
+fn adapt_step(step: &mut Step, support_x: &[Vec<Elem>], support_y: &[Elem], config: &AdaptConfig) {
     let _span = obs::span("wam/adapt_task");
     obs::counter("wam/adapt_steps", config.steps as u64);
-    let params = model.params();
-    let theta = layers::snapshot(&params);
     let schedule = CosineAnnealing::new(config.lr, config.lr_min, config.steps.max(1));
-    let lr_scales: Vec<Elem> = params
-        .iter()
-        .map(|p| {
-            if p.name() == "wam.mask" {
+    let lr_scales: Vec<Elem> = step
+        .param_ranges()
+        .map(|(name, _)| {
+            if name == "wam.mask" {
                 config.mask_lr_multiplier
             } else {
                 1.0
             }
         })
         .collect();
-    let mut current = theta.clone();
-    for step in 0..config.steps {
-        let loss = model.mse_on(support_x, support_y);
-        let grads = grad(&loss, &current, false);
-        let lr = schedule.lr_at(step);
-        let updated: Vec<Tensor> = current
-            .iter()
-            .zip(&grads)
-            .zip(&lr_scales)
-            .map(|((t, g), &scale)| t.sub(&g.mul_scalar(lr * scale)))
-            .collect();
-        layers::restore(&params, &updated);
-        current = updated;
-    }
-    theta
+    step::sgd(step, support_x, support_y, config.steps, |k| {
+        let lr = schedule.lr_at(k);
+        lr_scales.iter().map(|&scale| lr * scale).collect()
+    });
 }
 
 /// Query rows per prediction unit of an adaptation sweep. Every sweep,
@@ -338,11 +340,14 @@ pub fn adapt_and_predict(
 /// predicts the others' queries instead of idling.
 ///
 /// Each task adapts independently from the same pre-trained parameters
-/// and the same mask prior; a worker adapts on its own predictor rebuilt
-/// from a plain-buffer snapshot, captures the adapted values, and loads
-/// another task's captured values when it predicts that task's chunks.
-/// Predictions come back in task order and are bit-identical to the
-/// serial sweep (which runs inline when one thread is effective).
+/// and the same mask prior. A worker compiles one adaptation [`Step`]
+/// and one prediction [`Plan`] from its own predictor (rebuilt from a
+/// plain-buffer snapshot), adapts each of its tasks from the pre-trained
+/// values, and loads a task's adapted values into its plan when it
+/// predicts that task's chunks. Predictions come back in task order and
+/// are bit-identical to the serial sweep (which runs inline when one
+/// thread is effective) and to the graph's `predict` after the graph's
+/// adaptation loop.
 pub fn adapt_sweep(
     model: &TransformerPredictor,
     tasks: &[Task],
@@ -355,16 +360,18 @@ pub fn adapt_sweep(
     sweep(model, tasks, mask, config, parallel)
 }
 
-/// A sweep worker's view of its predictor.
+/// A sweep worker's compiled view of its predictor.
 struct SweepWorker {
-    /// The parameter slots, a fresh learnable mask among them when the
-    /// sweep has a mask prior.
-    params: Vec<Param>,
+    /// The adaptation step, compiled with the worker's mask prior
+    /// installed as a learnable parameter.
+    step: Step,
     /// The pre-trained values (and the mask prior) to adapt each task
     /// from.
-    theta: Vec<Tensor>,
-    /// The task whose adapted values the slots hold, if any.
+    theta: Vec<Elem>,
+    /// The prediction plan, and the task whose adapted values it holds.
+    plan: Plan,
     holds: Option<usize>,
+    arena: PlanArena,
 }
 
 fn sweep(
@@ -375,53 +382,52 @@ fn sweep(
     parallel: &ParallelConfig,
 ) -> Vec<Vec<Elem>> {
     let caller_masks = model.masks();
-    let caller_values = layers::snapshot(&model.params());
     let prior: Option<(Vec<Elem>, Vec<usize>)> = mask.map(|m| (m.get().to_vec(), m.shape()));
+    let support = tasks.iter().map(|t| t.support_x.len()).max().unwrap_or(1);
+    let query = tasks.iter().map(|t| t.query_x.len()).max().unwrap_or(1);
     let adapted = fan_out_staged(
         model,
         parallel,
         tasks.len(),
         |m| {
             // Each target task adapts its own learnable copy of the shared
-            // architectural prior: the copy's slot is reset with the
-            // weights before every task.
+            // architectural prior: the step's values are reset to the
+            // weights and the prior before every task.
             if let Some((values, shape)) = &prior {
                 m.install_mask(Param::new(
                     "wam.mask",
                     Tensor::param_from_vec(values.clone(), shape),
                 ));
             }
-            let params = m.params();
+            let step = Step::compile(m, support);
             SweepWorker {
-                theta: layers::snapshot(&params),
-                params,
+                theta: step.values().to_vec(),
+                step,
+                plan: Plan::from_model(m, query.min(QUERY_CHUNK_ROWS)),
                 holds: None,
+                arena: PlanArena::new(),
             }
         },
-        |m, w: &mut SweepWorker, i| {
-            if w.holds.take().is_some() {
-                layers::restore(&w.params, &w.theta);
-            }
+        |_, w: &mut SweepWorker, i| {
             let task = &tasks[i];
-            adapt(m, &task.support_x, &task.support_y, config);
-            w.holds = Some(i);
-            let values = m.snapshot_values();
-            metadse_nn::tensor::pool::reclaim();
-            (values, task.query_x.len().div_ceil(QUERY_CHUNK_ROWS))
+            w.step.set_values(&w.theta);
+            adapt_step(&mut w.step, &task.support_x, &task.support_y, config);
+            (
+                w.step.values().to_vec(),
+                task.query_x.len().div_ceil(QUERY_CHUNK_ROWS),
+            )
         },
-        |m, w, i, values, chunk| {
+        |_, w, i, values, chunk| {
             if w.holds != Some(i) {
-                m.load_values(values);
+                w.plan.set_values(values);
                 w.holds = Some(i);
             }
             let rows = tasks[i].query_x.chunks(QUERY_CHUNK_ROWS).nth(chunk);
-            let predictions = m.predict(rows.expect("chunk within the query set"));
-            metadse_nn::tensor::pool::reclaim();
-            predictions
+            w.plan
+                .run(rows.expect("chunk within the query set"), &mut w.arena)
         },
     );
     model.set_masks(&caller_masks);
-    layers::restore(&model.params(), &caller_values);
     adapted
         .into_iter()
         .map(|(_, chunks)| chunks.concat())

@@ -224,49 +224,20 @@ impl Tensor {
             // First-order fast path: same per-element expression trees as
             // the composite, reusing the forward's exponentials and lane
             // denominators instead of recomputing them.
-            let (outer, dim, inner) = axis_blocks(x.shape(), axis);
-            let lanes = outer * inner;
-            let sg = g.data();
-            let n = exp_cache.len();
-            let (ev, dv) = (&exp_cache, &denom);
-            let mut gd = pool::take_zeroed(lanes);
-            if inner == 1 && dim > backend::SEQ_EQUIV_MAX {
-                let be = backend::active();
-                let mut terms = pool::take_zeroed(dim);
-                for (o, gd) in gd.iter_mut().enumerate() {
-                    let dvsq = dv[o] * dv[o];
-                    for (d, slot) in terms.iter_mut().enumerate() {
-                        let idx = o * dim + d;
-                        let t = sg[idx] * ev[idx];
-                        *slot = -t / dvsq;
-                    }
-                    *gd = be.sum(&terms);
-                }
-                pool::recycle(terms);
-            } else {
-                for o in 0..outer {
-                    for d in 0..dim {
-                        for i in 0..inner {
-                            let idx = (o * dim + d) * inner + i;
-                            let lane = o * inner + i;
-                            let t = sg[idx] * ev[idx];
-                            gd[lane] += -t / (dv[lane] * dv[lane]);
-                        }
-                    }
-                }
-            }
-            let mut gx = pool::take_zeroed(n);
-            for o in 0..outer {
-                for d in 0..dim {
-                    for i in 0..inner {
-                        let idx = (o * dim + d) * inner + i;
-                        let lane = o * inner + i;
-                        gx[idx] = (sg[idx] / dv[lane] + gd[lane]) * ev[idx];
-                    }
-                }
-            }
-            drop(sg);
-            pool::recycle(gd);
+            let (_, dim, inner) = axis_blocks(x.shape(), axis);
+            let mut gx = pool::take_zeroed(exp_cache.len());
+            let mut terms = pool::take_zeroed(dim);
+            softmax_backward_raw(
+                backend::active(),
+                &g.data(),
+                &exp_cache,
+                &denom,
+                dim,
+                inner,
+                &mut gx,
+                &mut terms,
+            );
+            pool::recycle(terms);
             vec![Some(Tensor::from_buf(gx, x.shape()))]
         });
         Tensor::from_op(out, shape, vec![self.clone()], backward)
@@ -362,93 +333,23 @@ impl Tensor {
                 let gx = gc.add(&gs1.broadcast_to(x.shape()));
                 return vec![Some(gx), Some(ggamma), Some(gbeta)];
             }
-            let be = backend::active();
             let dim = *x.shape().last().unwrap();
-            let sx = x.data();
-            let sgm = gamma.data();
-            let sg = g.data();
-            let n = sx.len();
-            let rows = n / dim;
+            let mut gx = pool::take_zeroed(x.numel());
             let mut ggamma = pool::take_zeroed(dim);
             let mut gbeta = pool::take_zeroed(dim);
-            let mut gx = pool::take_zeroed(n);
-            let mut cbuf = pool::take_zeroed(dim);
-            let mut ghbuf = pool::take_zeroed(dim);
-            let mut terms = pool::take_zeroed(dim);
-            // Rows of at most `SEQ_EQUIV_MAX` elements: same bit-preserving
-            // fusion as the forward — chunked reductions degenerate to the
-            // sequential accumulation the inline loops perform, on every
-            // backend.
-            let small = dim <= backend::SEQ_EQUIV_MAX;
-            for r in 0..rows {
-                let base = r * dim;
-                let mean = be.sum(&sx[base..base + dim]) * inv;
-                let s2 = if small {
-                    let mut s2 = 0.0;
-                    for j in 0..dim {
-                        let c = sx[base + j] - mean;
-                        cbuf[j] = c;
-                        s2 += c * c;
-                    }
-                    s2
-                } else {
-                    for j in 0..dim {
-                        cbuf[j] = sx[base + j] - mean;
-                    }
-                    be.sum_sq(&cbuf)
-                };
-                let sd = (s2 * inv + eps).sqrt();
-                for j in 0..dim {
-                    let gj = sg[base + j];
-                    let h = cbuf[j] / sd;
-                    ggamma[j] += gj * h;
-                    gbeta[j] += gj;
-                    ghbuf[j] = gj * sgm[j];
-                }
-                let sd2 = sd * sd;
-                let gsd = if small {
-                    let mut gsd = 0.0;
-                    for j in 0..dim {
-                        gsd += -(ghbuf[j] * cbuf[j]) / sd2;
-                    }
-                    gsd
-                } else {
-                    for j in 0..dim {
-                        terms[j] = -(ghbuf[j] * cbuf[j]) / sd2;
-                    }
-                    be.sum(&terms)
-                };
-                let ga = gsd * 0.5 / sd;
-                let gs2 = ga * inv;
-                let gmean = if small {
-                    let mut gmean = 0.0;
-                    for j in 0..dim {
-                        let t = gs2 * cbuf[j];
-                        let gc = ghbuf[j] / sd + t + t;
-                        gx[base + j] = gc;
-                        gmean += -gc;
-                    }
-                    gmean
-                } else {
-                    for j in 0..dim {
-                        let t = gs2 * cbuf[j];
-                        let gc = ghbuf[j] / sd + t + t;
-                        gx[base + j] = gc;
-                        terms[j] = -gc;
-                    }
-                    be.sum(&terms)
-                };
-                let gs1 = gmean * inv;
-                for j in 0..dim {
-                    gx[base + j] += gs1;
-                }
-            }
-            drop(sx);
-            drop(sgm);
-            drop(sg);
-            pool::recycle(cbuf);
-            pool::recycle(ghbuf);
-            pool::recycle(terms);
+            let mut scratch = pool::take_zeroed(3 * dim);
+            layernorm_backward_raw(
+                backend::active(),
+                &x.data(),
+                &gamma.data(),
+                &g.data(),
+                eps,
+                &mut gx,
+                &mut ggamma,
+                &mut gbeta,
+                &mut scratch,
+            );
+            pool::recycle(scratch);
             vec![
                 Some(Tensor::from_buf(gx, x.shape())),
                 Some(Tensor::from_buf(ggamma, &[dim])),
@@ -606,21 +507,16 @@ impl Tensor {
                 let gt = gdiff.neg();
                 return vec![Some(gdiff), Some(gt)];
             }
-            let sp = pred.data();
-            let st = target.data();
-            let gq = g.data()[0] * inv;
-            let n = sp.len();
-            let mut gpred = pool::take(n);
-            let mut gtarget = pool::take(n);
-            for (&p, &t) in sp.iter().zip(st.iter()) {
-                let d = p - t;
-                let term = gq * d;
-                let gd = term + term;
-                gpred.push(gd);
-                gtarget.push(-gd);
-            }
-            drop(sp);
-            drop(st);
+            let n = pred.numel();
+            let mut gpred = pool::take_zeroed(n);
+            let mut gtarget = pool::take_zeroed(n);
+            sq_err_mean_backward_raw(
+                g.data()[0] * inv,
+                &pred.data(),
+                &target.data(),
+                &mut gpred,
+                Some(&mut gtarget),
+            );
             vec![
                 Some(Tensor::from_buf(gpred, pred.shape())),
                 Some(Tensor::from_buf(gtarget, target.shape())),
@@ -632,6 +528,177 @@ impl Tensor {
             vec![self.clone(), target.clone()],
             backward,
         )
+    }
+}
+
+/// First-order softmax backward over `[outer, dim, inner]` blocks from
+/// the forward's exponentials `ev` and lane denominators `dv`: the
+/// composite's per-element expression trees, writing `gx` (same length
+/// as `ev`). `terms` is `dim` elements of scratch for the trailing-axis
+/// chunked reduction. Shared by the fused graph node and the compiled
+/// training step.
+#[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
+pub(crate) fn softmax_backward_raw(
+    be: backend::ActiveBackend,
+    sg: &[Elem],
+    ev: &[Elem],
+    dv: &[Elem],
+    dim: usize,
+    inner: usize,
+    gx: &mut [Elem],
+    terms: &mut [Elem],
+) {
+    let outer = ev.len() / (dim * inner);
+    if inner == 1 && dim > backend::SEQ_EQUIV_MAX {
+        let terms = &mut terms[..dim];
+        for (o, &dvo) in dv.iter().enumerate().take(outer) {
+            let dvsq = dvo * dvo;
+            for (d, slot) in terms.iter_mut().enumerate() {
+                let idx = o * dim + d;
+                let t = sg[idx] * ev[idx];
+                *slot = -t / dvsq;
+            }
+            let gd = be.sum(terms);
+            for d in 0..dim {
+                let idx = o * dim + d;
+                gx[idx] = (sg[idx] / dvo + gd) * ev[idx];
+            }
+        }
+        return;
+    }
+    // Each lane's reduction runs in ascending `d`, one sequential
+    // accumulator per lane.
+    for o in 0..outer {
+        for i in 0..inner {
+            let lane = o * inner + i;
+            let mut gd = 0.0;
+            for d in 0..dim {
+                let idx = (o * dim + d) * inner + i;
+                let t = sg[idx] * ev[idx];
+                gd += -t / (dv[lane] * dv[lane]);
+            }
+            for d in 0..dim {
+                let idx = (o * dim + d) * inner + i;
+                gx[idx] = (sg[idx] / dv[lane] + gd) * ev[idx];
+            }
+        }
+    }
+}
+
+/// First-order affine-layernorm backward over rows of `gamma.len()`
+/// elements: recomputes each row's centering and deviation from the
+/// input `sx`, writes `gx` and overwrites `ggamma`/`gbeta` with the
+/// gradients summed over rows (ascending). `scratch` holds `3 · dim`
+/// elements. Shared by the fused graph node and the compiled training
+/// step.
+#[allow(clippy::too_many_arguments)] // raw kernel: slices + row geometry
+pub(crate) fn layernorm_backward_raw(
+    be: backend::ActiveBackend,
+    sx: &[Elem],
+    sgm: &[Elem],
+    sg: &[Elem],
+    eps: Elem,
+    gx: &mut [Elem],
+    ggamma: &mut [Elem],
+    gbeta: &mut [Elem],
+    scratch: &mut [Elem],
+) {
+    let dim = sgm.len();
+    let inv = 1.0 / dim as Elem;
+    let rows = sx.len() / dim;
+    ggamma.fill(0.0);
+    gbeta.fill(0.0);
+    let (cbuf, rest) = scratch.split_at_mut(dim);
+    let (ghbuf, terms) = rest.split_at_mut(dim);
+    let terms = &mut terms[..dim];
+    // Rows of at most `SEQ_EQUIV_MAX` elements: same bit-preserving
+    // fusion as the forward — chunked reductions degenerate to the
+    // sequential accumulation the inline loops perform, on every backend.
+    let small = dim <= backend::SEQ_EQUIV_MAX;
+    for r in 0..rows {
+        let base = r * dim;
+        let mean = be.sum(&sx[base..base + dim]) * inv;
+        let s2 = if small {
+            let mut s2 = 0.0;
+            for j in 0..dim {
+                let c = sx[base + j] - mean;
+                cbuf[j] = c;
+                s2 += c * c;
+            }
+            s2
+        } else {
+            for j in 0..dim {
+                cbuf[j] = sx[base + j] - mean;
+            }
+            be.sum_sq(cbuf)
+        };
+        let sd = (s2 * inv + eps).sqrt();
+        for j in 0..dim {
+            let gj = sg[base + j];
+            let h = cbuf[j] / sd;
+            ggamma[j] += gj * h;
+            gbeta[j] += gj;
+            ghbuf[j] = gj * sgm[j];
+        }
+        let sd2 = sd * sd;
+        let gsd = if small {
+            let mut gsd = 0.0;
+            for j in 0..dim {
+                gsd += -(ghbuf[j] * cbuf[j]) / sd2;
+            }
+            gsd
+        } else {
+            for j in 0..dim {
+                terms[j] = -(ghbuf[j] * cbuf[j]) / sd2;
+            }
+            be.sum(terms)
+        };
+        let ga = gsd * 0.5 / sd;
+        let gs2 = ga * inv;
+        let gmean = if small {
+            let mut gmean = 0.0;
+            for j in 0..dim {
+                let t = gs2 * cbuf[j];
+                let gc = ghbuf[j] / sd + t + t;
+                gx[base + j] = gc;
+                gmean += -gc;
+            }
+            gmean
+        } else {
+            for j in 0..dim {
+                let t = gs2 * cbuf[j];
+                let gc = ghbuf[j] / sd + t + t;
+                gx[base + j] = gc;
+                terms[j] = -gc;
+            }
+            be.sum(terms)
+        };
+        let gs1 = gmean * inv;
+        for j in 0..dim {
+            gx[base + j] += gs1;
+        }
+    }
+}
+
+/// First-order backward of `mean((pred − target)²)` given `gq`, the
+/// output gradient times `1/n`: writes `gpred` and, when asked, `gtarget`
+/// (its negation). The square's two reads of the difference contribute
+/// two separately computed equal terms, as the composite graph adds them.
+pub(crate) fn sq_err_mean_backward_raw(
+    gq: Elem,
+    sp: &[Elem],
+    st: &[Elem],
+    gpred: &mut [Elem],
+    mut gtarget: Option<&mut [Elem]>,
+) {
+    for (i, (&p, &t)) in sp.iter().zip(st).enumerate() {
+        let d = p - t;
+        let term = gq * d;
+        let gd = term + term;
+        gpred[i] = gd;
+        if let Some(gt) = gtarget.as_deref_mut() {
+            gt[i] = -gd;
+        }
     }
 }
 

@@ -150,16 +150,53 @@ fn matmul_forward(
     out
 }
 
-/// Raw first-order gradients for both operands, with the broadcast batch
-/// reduction folded into the accumulation (replacing `sum_to`).
+/// First-order gradients of one `[m, k] · [k, n]` block, accumulated
+/// (`+=`) into `ga` (`[m, k]`) and `gb` (`[k, n]`).
 ///
 /// `dL/dA[i, kk] = dot_j(g[i, ·], B[kk, ·])` — both rows contiguous in the
 /// original layouts, so no transpose is ever materialized: B's `k` rows of
 /// length `n` already form a `dot_block` panel for the gradient row.
 /// `dL/dB` uses the axpy form with zero-skip on A (zero attention weights
-/// contribute no gradient term). Batches accumulate in ascending order, so
-/// broadcast parents see the same summation order as the serial tensor-op
-/// path.
+/// contribute no gradient term). The graph's backward and the compiled
+/// training step both run this kernel, so they share its bits.
+#[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
+pub(crate) fn matmul_backward_block(
+    be: ActiveBackend,
+    dg: &[Elem],
+    da: &[Elem],
+    db: &[Elem],
+    m: usize,
+    k: usize,
+    n: usize,
+    ga: Option<&mut [Elem]>,
+    gb: Option<&mut [Elem]>,
+) {
+    if let Some(ga) = ga {
+        let b_panel = &db[..k * n];
+        for i in 0..m {
+            let g_row = &dg[i * n..(i + 1) * n];
+            be.dot_block_acc(g_row, b_panel, n, &mut ga[i * k..(i + 1) * k]);
+        }
+    }
+    if let Some(gb) = gb {
+        for i in 0..m {
+            let g_row = &dg[i * n..(i + 1) * n];
+            for kk in 0..k {
+                let a_ik = da[i * k + kk];
+                if a_ik == 0.0 {
+                    continue;
+                }
+                be.axpy(a_ik, g_row, &mut gb[kk * n..(kk + 1) * n]);
+            }
+        }
+    }
+}
+
+/// Raw first-order gradients for both operands, with the broadcast batch
+/// reduction folded into the accumulation (replacing `sum_to`): each
+/// batch runs [`matmul_backward_block`] into its parents' blocks, in
+/// ascending order, so broadcast parents see the same summation order as
+/// the serial tensor-op path.
 #[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
 fn matmul_backward_raw(
     dg: &[Elem],
@@ -177,30 +214,21 @@ fn matmul_backward_raw(
     let mut ga = want_ga.then(|| pool::take_zeroed(da.len()));
     let mut gb = want_gb.then(|| pool::take_zeroed(db.len()));
     for bi in 0..offsets_a.len() {
-        let a_base = offsets_a[bi];
-        let b_base = offsets_b[bi];
-        let g_base = bi * m * n;
-        if let Some(ga) = ga.as_mut() {
-            let b_panel = &db[b_base..b_base + k * n];
-            for i in 0..m {
-                let g_row = &dg[g_base + i * n..g_base + (i + 1) * n];
-                let ga_row = &mut ga[a_base + i * k..a_base + (i + 1) * k];
-                be.dot_block_acc(g_row, b_panel, n, ga_row);
-            }
-        }
-        if let Some(gb) = gb.as_mut() {
-            for i in 0..m {
-                let g_row = &dg[g_base + i * n..g_base + (i + 1) * n];
-                for kk in 0..k {
-                    let a_ik = da[a_base + i * k + kk];
-                    if a_ik == 0.0 {
-                        continue;
-                    }
-                    let gb_row = &mut gb[b_base + kk * n..b_base + (kk + 1) * n];
-                    be.axpy(a_ik, g_row, gb_row);
-                }
-            }
-        }
+        let (a_block, b_block) = (
+            offsets_a[bi]..offsets_a[bi] + m * k,
+            offsets_b[bi]..offsets_b[bi] + k * n,
+        );
+        matmul_backward_block(
+            be,
+            &dg[bi * m * n..(bi + 1) * m * n],
+            &da[a_block.clone()],
+            &db[b_block.clone()],
+            m,
+            k,
+            n,
+            ga.as_mut().map(|ga| &mut ga[a_block]),
+            gb.as_mut().map(|gb| &mut gb[b_block]),
+        );
     }
     (ga, gb)
 }
@@ -266,13 +294,58 @@ fn matmul_nt_forward(
     out
 }
 
-/// Raw first-order gradients for `A · Bᵀ`. Mirrors the composite chain's
-/// bits: `dL/dA[i, kk] = dot_j(g[i, ·], Bᵀ[kk, ·])` — B's contraction rows
-/// are transposed into a pooled scratch panel once per batch so the dot
-/// runs contiguously (products `g[i, j] * b[j, kk]` in ascending `j`,
+/// First-order gradients of one `[m, k] · [n, k]ᵀ` block, accumulated
+/// (`+=`) into `ga` (`[m, k]`) and `gb` (`[n, k]`). Mirrors the composite
+/// chain's bits: `dL/dA[i, kk] = dot_j(g[i, ·], Bᵀ[kk, ·])` — B's
+/// contraction rows are transposed into `panel` (`k × n` scratch) so the
+/// dot runs contiguously (products `g[i, j] * b[j, kk]` in ascending `j`,
 /// exactly the strided order) — and `dL/dB` is the axpy form with the same
 /// zero-skip on A, summed over `i` in ascending order — the order the
 /// transpose node would have forwarded unchanged.
+#[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
+pub(crate) fn matmul_nt_backward_block(
+    be: ActiveBackend,
+    dg: &[Elem],
+    da: &[Elem],
+    db: &[Elem],
+    m: usize,
+    k: usize,
+    n: usize,
+    ga: Option<&mut [Elem]>,
+    gb: Option<&mut [Elem]>,
+    panel: &mut [Elem],
+) {
+    if let Some(ga) = ga {
+        let panel = &mut panel[..k * n];
+        for j in 0..n {
+            for kk in 0..k {
+                panel[kk * n + j] = db[j * k + kk];
+            }
+        }
+        for i in 0..m {
+            let g_row = &dg[i * n..(i + 1) * n];
+            be.dot_block_acc(g_row, panel, n, &mut ga[i * k..(i + 1) * k]);
+        }
+    }
+    if let Some(gb) = gb {
+        for i in 0..m {
+            let g_row = &dg[i * n..(i + 1) * n];
+            let a_row = &da[i * k..(i + 1) * k];
+            for (j, &gv) in g_row.iter().enumerate() {
+                let gb_row = &mut gb[j * k..(j + 1) * k];
+                for (&av, o) in a_row.iter().zip(gb_row.iter_mut()) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    *o += av * gv;
+                }
+            }
+        }
+    }
+}
+
+/// Raw first-order gradients for `A · Bᵀ` over equal batch layouts: one
+/// [`matmul_nt_backward_block`] per batch.
 #[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
 fn matmul_nt_backward_raw(
     dg: &[Elem],
@@ -288,40 +361,23 @@ fn matmul_nt_backward_raw(
     let be = backend::active();
     let mut ga = want_ga.then(|| pool::take_zeroed(da.len()));
     let mut gb = want_gb.then(|| pool::take_zeroed(db.len()));
-    let mut btt = want_ga.then(|| pool::take(k * n));
+    let mut panel = pool::take_zeroed(if want_ga { k * n } else { 0 });
     for bi in 0..batch_count {
-        let a_base = bi * m * k;
-        let b_base = bi * n * k;
-        let g_base = bi * m * n;
-        if let Some(ga) = ga.as_mut() {
-            let btt = btt.as_mut().expect("scratch allocated with ga");
-            btt.clear();
-            pack_transposed(db, b_base, n, k, btt);
-            for i in 0..m {
-                let g_row = &dg[g_base + i * n..g_base + (i + 1) * n];
-                let ga_row = &mut ga[a_base + i * k..a_base + (i + 1) * k];
-                be.dot_block_acc(g_row, btt, n, ga_row);
-            }
-        }
-        if let Some(gb) = gb.as_mut() {
-            for i in 0..m {
-                let g_row = &dg[g_base + i * n..g_base + (i + 1) * n];
-                let a_row = &da[a_base + i * k..a_base + (i + 1) * k];
-                for (j, &gv) in g_row.iter().enumerate() {
-                    let gb_row = &mut gb[b_base + j * k..b_base + (j + 1) * k];
-                    for (&av, o) in a_row.iter().zip(gb_row.iter_mut()) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        *o += av * gv;
-                    }
-                }
-            }
-        }
+        let (a_block, b_block) = (bi * m * k..(bi + 1) * m * k, bi * n * k..(bi + 1) * n * k);
+        matmul_nt_backward_block(
+            be,
+            &dg[bi * m * n..(bi + 1) * m * n],
+            &da[a_block.clone()],
+            &db[b_block.clone()],
+            m,
+            k,
+            n,
+            ga.as_mut().map(|ga| &mut ga[a_block]),
+            gb.as_mut().map(|gb| &mut gb[b_block]),
+            &mut panel,
+        );
     }
-    if let Some(btt) = btt {
-        pool::recycle(btt);
-    }
+    pool::recycle(panel);
     (ga, gb)
 }
 

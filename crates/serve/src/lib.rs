@@ -14,12 +14,12 @@
 //!   over a virtual clock: bounded admission with shed-on-full,
 //!   `max_batch`/`max_wait_us` coalescing, per-request deadlines, and
 //!   graceful drain — all unit-testable with no threads or timers.
-//! * [`plan`] / [`exec`] — compiled fixed-shape inference plans: a
-//!   tiny ~10-op serving IR lowered once per artifact × batch capacity,
-//!   executed over one preallocated arena sized by op liveness, with
-//!   every kernel choice resolved at compile time and bit-exact parity
-//!   with the layer-stack `predict`. Plans are the only serving
-//!   forward.
+//! * [`Plan`] / [`PlanArena`] — compiled fixed-shape plans
+//!   ([`metadse::plan`], re-exported here): the IR lowered once per
+//!   artifact × batch capacity, executed over one preallocated arena
+//!   sized by op liveness, with bit-exact parity with the layer-stack
+//!   `predict`. Plans are the only serving forward; training runs the
+//!   same op list with a compiled backward.
 //! * [`server`] — the runtime: a worker pool (on
 //!   [`metadse_parallel::WorkerPool`]) pops batches, groups them by
 //!   model fingerprint, and runs one compiled-plan forward per group;
@@ -47,10 +47,8 @@
 //! ```
 
 pub mod batcher;
-pub mod exec;
 pub mod front;
 pub mod introspect;
-pub mod plan;
 pub mod registry;
 pub mod server;
 pub mod session;
@@ -59,9 +57,8 @@ pub mod stats;
 pub mod supervisor;
 
 pub use batcher::{Admission, BatchConfig, Pending, PopOutcome, QueueCore};
-pub use exec::{PlanArena, PlanProfile};
 pub use introspect::ServeHealth;
-pub use plan::Plan;
+pub use metadse::plan::{Plan, PlanArena, PlanProfile};
 pub use registry::{ModelEntry, ModelRegistry, PlanCacheStats};
 pub use server::{Prediction, ServeConfig, ServeError, Server, Ticket};
 pub use session::{

@@ -38,7 +38,7 @@ use metadse::ServablePredictor;
 use metadse_nn::serialize::CheckpointError;
 use metadse_obs as obs;
 
-use crate::plan::Plan;
+use metadse::plan::Plan;
 
 /// One servable model at one generation, shared immutably with workers.
 #[derive(Debug)]

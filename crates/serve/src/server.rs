@@ -39,10 +39,9 @@ use metadse_obs::window::{Health, WatchdogConfig, WatchdogSample, WindowConfig};
 use metadse_parallel::WorkerPool;
 
 use crate::batcher::{Admission, BatchConfig, Pending, PopOutcome, QueueCore};
-use crate::exec::{PlanArena, PlanProfile};
-use crate::plan::Plan;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::{RequestTrace, ServerStats};
+use metadse::plan::{Plan, PlanArena, PlanProfile};
 
 /// Serving runtime tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,14 @@
-//! A model artifact the plan compiler cannot lower is refused at
-//! admission with `ServeError::Artifact`, and the server keeps serving
-//! every other tenant.
+//! A model artifact whose parameters do not fit the geometry it declares
+//! never reaches a server: decoding refuses it, naming the parameter, so
+//! a registry whose newest generation holds one falls back to the
+//! generation before it, and every tenant keeps being served.
 //!
-//! The misshapen artifact here is a well-formed sealed container whose
-//! parameters do not fit the geometry it declares. A one-worker server
-//! is the sharpest setting — a worker that tried to run such a model
-//! would panic and take the only worker with it, so every later request
-//! would stay queued. Tickets are therefore polled under a deadline,
-//! and a stuck request fails the test instead of hanging it.
+//! The misshapen artifact here is a well-formed sealed container with a
+//! matching fingerprint. A one-worker server is the sharpest setting —
+//! a worker that tried to run such a model would panic and take the
+//! only worker with it, so every later request would stay queued.
+//! Tickets are therefore polled under a deadline, and a stuck request
+//! fails the test instead of hanging it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,7 +20,7 @@ use metadse_serve::{
 };
 
 mod common;
-use common::misshapen_artifact;
+use common::{assert_refused_naming_the_table, misshapen_bytes, plant_generation};
 
 const GEOMETRY: PredictorConfig = PredictorConfig {
     num_params: 6,
@@ -52,15 +53,27 @@ fn outcome_within_deadline(ticket: &Ticket, what: &str) -> Result<Prediction, Se
 
 #[test]
 fn misshapen_artifact_is_refused_and_other_tenants_are_served() {
+    let bytes = misshapen_bytes(GEOMETRY, 2);
+    assert_refused_naming_the_table(&bytes);
+
+    // A registry whose newest "bad" generation holds those bytes opens
+    // on the generation before it.
     let root = std::env::temp_dir().join(format!("metadse-serve-artifact-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let registry = Arc::new(ModelRegistry::new(&root, 4));
     let good = servable(1);
-    let reference = good.instantiate().unwrap();
-    registry.publish("good", &good).unwrap();
-    registry
-        .publish("bad", &misshapen_artifact(GEOMETRY, 2))
-        .unwrap();
+    let previous = servable(3);
+    {
+        let publisher = ModelRegistry::new(&root, 4);
+        publisher.publish("good", &good).unwrap();
+        publisher.publish("bad", &previous).unwrap();
+    }
+    assert_eq!(plant_generation(&root, "bad", &bytes), 2);
+    let registry = Arc::new(ModelRegistry::open(&root, 4));
+    let entry = registry
+        .get("bad")
+        .expect("the previous generation is served");
+    assert_eq!(entry.generation, 1);
+    assert_eq!(entry.servable.fingerprint(), previous.fingerprint());
 
     let server = Server::start(
         Arc::clone(&registry),
@@ -74,26 +87,16 @@ fn misshapen_artifact_is_refused_and_other_tenants_are_served() {
         },
     );
     let config: Vec<f64> = (0..GEOMETRY.num_params).map(|j| j as f64 / 8.0).collect();
-    // The second submit is answered from the memoized refusal.
-    for attempt in 0..2 {
-        let ticket = server.submit("bad", &config, None);
-        match outcome_within_deadline(&ticket, "misshapen tenant") {
-            Err(ServeError::Artifact(message)) => assert!(
-                message.contains("plan compile: parameter") && message.contains("has shape"),
-                "attempt {attempt}: {message}"
-            ),
-            other => panic!("attempt {attempt}: misshapen artifact answered {other:?}"),
-        }
+    for (tenant, artifact) in [("bad", &previous), ("good", &good)] {
+        let ticket = server.submit(tenant, &config, None);
+        let served = outcome_within_deadline(&ticket, tenant).expect("tenant served");
+        let want = artifact
+            .instantiate()
+            .unwrap()
+            .predict(std::slice::from_ref(&config))[0];
+        assert_eq!(served.value.to_bits(), want.to_bits(), "{tenant}");
+        assert_eq!(served.generation, 1, "{tenant}");
     }
-    let ticket = server.submit("good", &config, None);
-    let served = outcome_within_deadline(&ticket, "good tenant").expect("good tenant served");
-    let want = reference.predict(std::slice::from_ref(&config))[0];
-    assert_eq!(served.value.to_bits(), want.to_bits());
-    assert_eq!(
-        registry.cached_plan_shapes(),
-        vec![(good.fingerprint(), 8)],
-        "only the good tenant's plan is cached"
-    );
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }

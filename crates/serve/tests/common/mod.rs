@@ -1,16 +1,20 @@
 //! Helpers shared by the serve integration tests.
 
+use std::path::Path;
+use std::sync::Arc;
+
+use metadse::checkpoint::{GenerationStore, StdIo};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::ServablePredictor;
 use metadse_nn::format::{fnv1a, seal, ByteWriter};
 use metadse_nn::layers::Module;
-use metadse_nn::serialize::params_to_bytes;
+use metadse_nn::serialize::{params_to_bytes, CheckpointError};
 
-/// A sealed `MDSESRVM` artifact that declares `geometry` but carries
-/// the parameters of a model half as wide. Its fingerprint is computed
-/// over that content, so it decodes, and a registry can load it from
-/// disk; only the plan compiler finds that the parameters do not fit.
-pub fn misshapen_artifact(geometry: PredictorConfig, seed: u64) -> ServablePredictor {
+/// Sealed `MDSESRVM` bytes that declare `geometry` but carry the
+/// parameters of a model half as wide. The fingerprint is computed over
+/// that content and the container is well formed, so only the check
+/// that the parameters fit the declared geometry can refuse them.
+pub fn misshapen_bytes(geometry: PredictorConfig, seed: u64) -> Vec<u8> {
     let narrow = PredictorConfig {
         d_model: geometry.d_model / 2,
         d_hidden: geometry.d_hidden / 2,
@@ -39,6 +43,29 @@ pub fn misshapen_artifact(geometry: PredictorConfig, seed: u64) -> ServablePredi
     payload.u64(params.len() as u64);
     payload.bytes(&params);
     payload.u32(0);
-    ServablePredictor::from_bytes(&seal(b"MDSESRVM", 1, &payload.into_bytes()))
-        .expect("the misshapen artifact is well formed")
+    seal(b"MDSESRVM", 1, &payload.into_bytes())
+}
+
+/// Asserts that decoding `bytes` fails with `Format` naming the token
+/// table — the first parameter the plan compiler's lookup reads, and
+/// half as wide as the geometry declares.
+pub fn assert_refused_naming_the_table(bytes: &[u8]) {
+    match ServablePredictor::from_bytes(bytes) {
+        Err(CheckpointError::Format(message)) => assert!(
+            message.contains("parameter \"predictor.token.table\"")
+                && message.contains("has shape"),
+            "{message}"
+        ),
+        other => panic!("a misshapen artifact decoded: {other:?}"),
+    }
+}
+
+/// Writes `bytes` as `workload`'s next `.model` generation under a
+/// registry `root`, past `ModelRegistry::publish` (which only takes an
+/// artifact that decodes) — as a foreign writer or an edit on disk
+/// would. Returns the generation number.
+pub fn plant_generation(root: &Path, workload: &str, bytes: &[u8]) -> u64 {
+    GenerationStore::new(root.join(workload), "model", "serve", 4, Arc::new(StdIo))
+        .save_bytes(bytes)
+        .expect("write the planted generation")
 }

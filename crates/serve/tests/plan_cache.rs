@@ -1,24 +1,14 @@
-//! Compiled-plan parity suite: the plan executor must be bit-identical
-//! to `TransformerPredictor::predict` under every backend × pool × fused
-//! mode combination (selected in-process by the mode guards), on
-//! poisoned inputs (NaN, ±inf, subnormals, zero-heavy rows), with and
-//! without a WAM attention mask — and the server's plan cache must
-//! invalidate atomically across a hot swap, never serving a stale
-//! generation's plan.
-//!
-//! Run through `scripts/test-matrix.sh` this suite also pins the plan
-//! outputs to per-backend cross-build digests (`$METADSE_DIGEST_FILE
-//! .plan{,.simd}`).
+//! The server's plan cache: one compiled plan per workload × batch
+//! capacity, reused across admission groups, and invalidated atomically
+//! across a hot swap, never serving a stale generation's plan. (The
+//! plan's own parity suite lives with the plan, in
+//! `crates/core/tests/plan.rs`.)
 
 use std::sync::Arc;
 
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::ServablePredictor;
-use metadse_nn::layers::Param;
-use metadse_nn::tensor::fused::FusedModeGuard;
-use metadse_nn::tensor::pool::PoolModeGuard;
-use metadse_nn::{autograd, backend, BackendKind, BackendModeGuard, Elem, Tensor};
-use metadse_serve::{BatchConfig, ModelRegistry, Plan, PlanArena, ServeConfig, Server};
+use metadse_serve::{BatchConfig, ModelRegistry, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,8 +22,7 @@ const GEOMETRY: PredictorConfig = PredictorConfig {
 };
 
 /// A captured artifact; `masked` adds a WAM-style additive attention
-/// mask (a few strongly suppressed pairs) so the plan's compile-time
-/// mask fold gets exercised.
+/// mask (a few strongly suppressed pairs).
 fn servable(seed: u64, masked: bool) -> ServablePredictor {
     let model = TransformerPredictor::new(GEOMETRY, seed);
     let s = GEOMETRY.num_params;
@@ -46,156 +35,10 @@ fn servable(seed: u64, masked: bool) -> ServablePredictor {
                 }
             }
         }
-        Param::new("wam.mask", Tensor::from_vec(values, &[s, s]))
+        metadse_nn::layers::Param::new("wam.mask", metadse_nn::Tensor::from_vec(values, &[s, s]))
     });
     ServablePredictor::capture(&model, mask.as_ref(), "ipc")
 }
-
-/// Deterministic quantized inputs (exactly representable after the
-/// round, so digests are stable across build flavors).
-fn rows(n: usize, seed: u64) -> Vec<Vec<Elem>> {
-    (0..n)
-        .map(|i| {
-            (0..GEOMETRY.num_params)
-                .map(|j| {
-                    let v = ((i * 31 + j * 7) as Elem + seed as Elem).sin();
-                    (v * 8.0).round() / 8.0
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Adversarial rows: NaN, ±inf, subnormals, and zero-heavy rows that
-/// push zero fractions toward the sparse-kernel threshold.
-fn poison_rows() -> Vec<Vec<Elem>> {
-    let arity = GEOMETRY.num_params;
-    let mut batch = vec![
-        vec![0.0; arity],
-        vec![Elem::NAN; arity],
-        vec![Elem::INFINITY; arity],
-        vec![Elem::NEG_INFINITY; arity],
-        vec![Elem::MIN_POSITIVE / 2.0; arity],
-        vec![-Elem::MIN_POSITIVE; arity],
-    ];
-    // Mixed rows: a single poisoned lane in otherwise ordinary data.
-    for (lane, v) in [(0, Elem::NAN), (2, Elem::INFINITY), (4, 1e-310), (5, -0.0)] {
-        let mut row: Vec<Elem> = (0..arity).map(|j| (j as Elem) * 0.125).collect();
-        row[lane] = v;
-        batch.push(row);
-    }
-    batch
-}
-
-fn assert_plan_matches_predict(sv: &ServablePredictor, inputs: &[Vec<Elem>], context: &str) {
-    let plan = Plan::compile(sv, inputs.len()).unwrap();
-    let model = sv.instantiate().unwrap();
-    let expected = autograd::no_grad(|| model.predict(inputs));
-    let mut arena = PlanArena::new();
-    let got = plan.run(inputs, &mut arena);
-    assert_eq!(got.len(), expected.len());
-    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            e.to_bits(),
-            "{context}: row {i} diverged (plan {g:?} vs predict {e:?})"
-        );
-    }
-}
-
-/// The tentpole parity matrix: every backend × pool × fused combination,
-/// masked and unmasked, must agree with `predict` bit-for-bit. The plan
-/// always executes fused-path accumulation orders on the thread's
-/// backend; the fused≡composite and pool-neutrality contracts make the
-/// graph side land on the same bits from either configuration.
-#[test]
-fn plan_parity_across_backend_pool_fused_matrix() {
-    for masked in [false, true] {
-        let sv = servable(11 + masked as u64, masked);
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
-            let _backend = BackendModeGuard::set(kind);
-            for pool in [false, true] {
-                let _pool = PoolModeGuard::set(pool);
-                for fused in [false, true] {
-                    let _fused = FusedModeGuard::set(fused);
-                    assert_plan_matches_predict(
-                        &sv,
-                        &rows(8, 3),
-                        &format!(
-                            "masked={masked} backend={} pool={pool} fused={fused}",
-                            kind.name()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Poisoned inputs must not open a gap between the two paths: NaN
-/// payloads, infinities and subnormals propagate through identical
-/// kernel sequences, and zero-heavy intermediates must make the same
-/// data-dependent dense/sparse choice on both sides.
-#[test]
-fn plan_parity_on_poison_inputs() {
-    for masked in [false, true] {
-        let sv = servable(23 + masked as u64, masked);
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
-            let _backend = BackendModeGuard::set(kind);
-            for fused in [false, true] {
-                let _fused = FusedModeGuard::set(fused);
-                assert_plan_matches_predict(
-                    &sv,
-                    &poison_rows(),
-                    &format!(
-                        "poison masked={masked} backend={} fused={fused}",
-                        kind.name()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Cross-build digest pin for the plan path, composed with the
-/// determinism suite's convention: the scalar backend records
-/// `$METADSE_DIGEST_FILE.plan`, other backends `….plan.<backend>`.
-#[test]
-fn plan_outputs_pin_cross_build_digest() {
-    let Ok(base) = std::env::var("METADSE_DIGEST_FILE") else {
-        return;
-    };
-    let base = format!("{base}.plan");
-    let path = match backend::kind() {
-        BackendKind::Scalar => base,
-        kind => format!("{base}.{}", kind.name()),
-    };
-
-    let sv = servable(41, true);
-    let plan = Plan::compile(&sv, 8).unwrap();
-    let mut arena = PlanArena::new();
-    let outputs = plan.run(&rows(8, 17), &mut arena);
-    let mut bytes = Vec::with_capacity(outputs.len() * 8);
-    for v in &outputs {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let digest = format!("{:016x}", metadse_nn::format::fnv1a(&bytes));
-
-    match std::fs::read_to_string(&path) {
-        Ok(previous) if !previous.trim().is_empty() => assert_eq!(
-            previous.trim(),
-            digest,
-            "plan digest diverged from the one recorded in {path} — a \
-             differently-configured build changed the plan numerics"
-        ),
-        _ => metadse_obs::atomic_write(&metadse_obs::StdIo, &path, digest.as_bytes())
-            .unwrap_or_else(|e| panic!("could not record plan digest in {path}: {e}")),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Server-level plan cache and hot-swap invalidation
-// ---------------------------------------------------------------------
 
 fn temp_registry(tag: &str) -> Arc<ModelRegistry> {
     let root =

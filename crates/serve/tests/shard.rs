@@ -22,7 +22,7 @@ use metadse_serve::supervisor::wait_ready;
 use metadse_serve::{BatchConfig, ErrorCode, ModelRegistry, ServeConfig};
 
 mod common;
-use common::misshapen_artifact;
+use common::{assert_refused_naming_the_table, misshapen_bytes, plant_generation};
 
 const GEOMETRY: PredictorConfig = PredictorConfig {
     num_params: 6,
@@ -183,30 +183,27 @@ fn typed_errors_cross_both_hops() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An artifact that does not compile into a plan reads `Artifact`
-/// through the front door, and the shard keeps serving its other
+/// A shard whose registry holds a misshapen newest generation — bytes
+/// decoding refuses, naming the parameter — opens on the generation
+/// before it and serves that through the front door, with its other
 /// tenants.
 #[test]
-fn misshapen_artifact_reads_artifact_across_both_hops() {
+fn misshapen_generation_falls_back_across_both_hops() {
+    let bytes = misshapen_bytes(GEOMETRY, 2000);
+    assert_refused_naming_the_table(&bytes);
     let dir = fleet_dir("artifact");
-    let (root, references) = publish_workloads(&dir, &["mcf"]);
+    let (root, references) = publish_workloads(&dir, &["mcf", "bad"]);
+    assert_eq!(plant_generation(&root, "bad", &bytes), 2);
     let (shards, front) = start_fleet(&dir, &root, 1);
-    shards[0]
-        .registry()
-        .publish("bad", &misshapen_artifact(GEOMETRY, 2000))
-        .unwrap();
+    assert_eq!(shards[0].registry().get("bad").unwrap().generation, 1);
     let mut client = FrontClient::connect(front.socket()).unwrap();
 
-    let err = client.predict("bad", &[0.5; 6], None).unwrap_err();
-    assert_eq!(err.code, ErrorCode::Artifact, "{err:?}");
-    assert!(
-        err.message.contains("plan compile: parameter") && err.message.contains("has shape"),
-        "{err:?}"
-    );
-    assert!(!err.retryable());
-    let got = client.predict("mcf", &[0.5; 6], None).unwrap();
-    let want = references[0].predict(&[vec![0.5; 6]])[0];
-    assert_eq!(got.value.to_bits(), want.to_bits());
+    for (tenant, reference) in ["mcf", "bad"].iter().zip(&references) {
+        let got = client.predict(tenant, &[0.5; 6], None).unwrap();
+        let want = reference.predict(&[vec![0.5; 6]])[0];
+        assert_eq!(got.value.to_bits(), want.to_bits(), "{tenant}");
+        assert_eq!(got.generation, 1, "{tenant}");
+    }
 
     front.shutdown();
     for shard in shards {

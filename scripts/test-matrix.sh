@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Backend matrix: the tensor backend (METADSE_BACKEND) is the one runtime
-# switch with numerics of its own. This runs the nn and core suites and
-# the compiled-plan parity suite under each backend against one shared
+# switch with numerics of its own. This runs the nn and core suites —
+# the compiled-plan and compiled-step parity suites (crates/core/tests/
+# plan.rs, step.rs) among them — under each backend against one shared
 # METADSE_DIGEST_FILE: the first run records the pretrain digest
 # (scalar: the file itself, simd: ".simd") and the plan digests
 # (".plan", ".plan.simd"), and every later run with the same file must
@@ -22,7 +23,6 @@ export METADSE_DIGEST_FILE="$digest_file"
 for backend in scalar simd; do
   echo "=== METADSE_BACKEND=$backend ==="
   METADSE_BACKEND=$backend cargo test -q -p metadse-nn -p metadse "$@"
-  METADSE_BACKEND=$backend cargo test -q -p metadse-serve --test plan "$@"
 done
 
 echo "pretrain digest $(cat "$digest_file") (scalar), $(cat "$digest_file.simd") (simd)"
