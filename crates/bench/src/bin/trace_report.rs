@@ -223,11 +223,9 @@ fn main() {
 
     // --- t1 vs t4 attribution --------------------------------------------
     report::section("t1 vs t4 attribution");
-    let rebuilds_before = obs::counter_value("maml/worker_rebuilds");
     let (d_t1, s_t1) = fanout_walls(&tasks, &ParallelConfig::serial());
     let (d_t4, s_t4) = fanout_walls(&tasks, &ParallelConfig::with_threads(4));
     let (d_t4f, s_t4f) = fanout_walls(&tasks, &ParallelConfig::with_threads(4).oversubscribed());
-    let rebuilds = obs::counter_value("maml/worker_rebuilds") - rebuilds_before;
 
     report::table(&[
         vec![
@@ -249,16 +247,16 @@ fn main() {
             human_ns(s_t4f.as_nanos()),
         ],
     ]);
-    report::kv("worker predictor rebuilds during the t4 runs", rebuilds);
     report::line(format!(
         "attribution: where t4 runs slower than t1, the cost is forcing more \
          workers than the {} hardware thread(s) — spawn + join + time-slicing \
-         is pure overhead when no cores are free — plus each worker \
-         rebuilding a thread-local predictor from the parameter snapshot \
-         before its first task ({rebuilds} rebuilds across the t4 runs above: \
-         one per worker per sweep, not one per task). The default config \
-         clamps workers to the machine, and the caller works as worker 0, so \
-         the default t4 column uses at most one worker per hardware thread.",
+         is pure overhead when no cores are free. Before its first task a \
+         sweep worker clones the adaptation step and the prediction plan the \
+         calling thread compiled once per sweep (weights and op lists, no \
+         predictor), and its arenas grow on their first run. The default \
+         config clamps workers to the machine, and the caller works as \
+         worker 0, so the default t4 column uses at most one worker per \
+         hardware thread.",
         metadse_parallel::available_parallelism(),
     ));
 
@@ -295,8 +293,8 @@ fn main() {
         "attribution: {steps} compiled first-order steps (a WAM adaptation) on \
          10 shots at the default geometry with a learnable mask: {} forward \
          and {} backward per step. Adaptation and meta-training run this \
-         op list; the `Rc` graph only serves second-order MAML and \
-         attention capture.",
+         op list; the `Rc` graph only serves second-order MAML and the \
+         test oracles.",
         human_ns(u128::from(forward) * 1000 / steps as u128),
         human_ns(u128::from(backward) * 1000 / steps as u128),
     ));

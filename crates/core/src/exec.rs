@@ -135,7 +135,7 @@ impl Plan {
     /// Panics if `inputs` is empty, exceeds [`Plan::capacity`], or any
     /// row's arity differs from the compiled geometry.
     pub fn run(&self, inputs: &[Vec<Elem>], arena: &mut PlanArena) -> Vec<Elem> {
-        self.predict(inputs, arena, None)
+        self.output(inputs, arena, None).to_vec()
     }
 
     /// As [`Plan::run`], also accumulating per-op wall time into
@@ -147,19 +147,20 @@ impl Plan {
         arena: &mut PlanArena,
         profile: &mut PlanProfile,
     ) -> Vec<Elem> {
-        self.predict(inputs, arena, Some(profile))
+        self.output(inputs, arena, Some(profile)).to_vec()
     }
 
-    fn predict(
+    /// Runs the forward on `inputs` and returns the output where it lies
+    /// in the arena: one prediction per row, or an attention plan's
+    /// `[b, heads, seq, seq]` probabilities.
+    pub(crate) fn output<'a>(
         &self,
         inputs: &[Vec<Elem>],
-        arena: &mut PlanArena,
+        arena: &'a mut PlanArena,
         profile: Option<&mut PlanProfile>,
-    ) -> Vec<Elem> {
-        let b = inputs.len();
-        let slab = self.execute(inputs, None, false, arena, profile);
-        let [out] = views_mut(slab, [self.range(self.output, b)]);
-        out.to_vec()
+    ) -> &'a [Elem] {
+        let range = self.range(self.output, inputs.len());
+        &self.execute(inputs, None, false, arena, profile)[range]
     }
 
     /// Runs the forward on `inputs` — through the loss against `targets`
@@ -188,13 +189,13 @@ impl Plan {
 
         {
             let [xs] = views_mut(slab, [self.range(self.input, b)]);
-            for (row, dst) in inputs.iter().zip(xs.chunks_exact_mut(self.seq)) {
+            let seq = self.config.num_params;
+            for (row, dst) in inputs.iter().zip(xs.chunks_exact_mut(seq)) {
                 assert_eq!(
                     row.len(),
-                    self.seq,
-                    "input row arity {} does not match plan arity {}",
+                    seq,
+                    "input row arity {} does not match plan arity {seq}",
                     row.len(),
-                    self.seq
                 );
                 dst.copy_from_slice(row);
             }
@@ -254,7 +255,8 @@ impl Plan {
     }
 
     fn step(&self, op: &Op, b: usize, kb: Kernels, slab: &mut [Elem]) {
-        let (s, d, h, dk) = (self.seq, self.d_model, self.heads, self.dk);
+        let cfg = &self.config;
+        let (s, d, h, dk) = (cfg.num_params, cfg.d_model, cfg.heads, self.dk);
         match *op {
             // out[bi,s,:] = table[s,:] + x[bi,s] * dir[s,:] — the token
             // identity embedding plus the value-direction encoding

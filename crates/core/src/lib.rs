@@ -16,9 +16,9 @@
 //!    few shots from the unseen target workload (Algorithm 2).
 //!
 //! Both stages train through compiled first-order steps ([`step`]) over
-//! the same fixed-shape op list that serves predictions ([`plan`]); the
-//! `Rc` autograd graph remains for second-order MAML, attention capture
-//! and as the test oracle.
+//! the same fixed-shape op list that serves predictions ([`plan`]), and
+//! the mask's attention statistics come from that op list too; the `Rc`
+//! autograd graph remains for second-order MAML and as the test oracle.
 //!
 //! Baselines ([`trendse`]), per-task evaluation ([`evaluation`]),
 //! experiment harnesses for every paper table/figure ([`experiment`]), a

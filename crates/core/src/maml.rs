@@ -22,15 +22,16 @@
 //! meta-parameters and only its gradient flows back. [`pretrain`] exploits
 //! this without making the `Rc`-based autograd graph `Send` — tasks are
 //! sampled serially (so the RNG stream never depends on the thread count),
-//! each task's inner loop and meta-gradient run as a pure function of the
-//! meta-parameter snapshot on scoped workers, and the gradient buffers are
-//! reduced in task order before the Adam step. The result is bit-identical
-//! to a serial run for the same seed; `threads = Some(1)` skips the
-//! snapshot entirely and runs the exact serial path.
+//! the calling thread compiles the meta-parameters once (a [`Step`], or
+//! for second-order MAML a plan each worker rebuilds its predictor from),
+//! each worker runs every task it claims from a clone of that, and the
+//! gradient buffers are reduced in task order before the Adam step. One
+//! worker takes the same path as many, and the result is bit-identical
+//! at every thread count for the same seed.
 
 use metadse_obs as obs;
 use metadse_obs::report;
-use metadse_parallel::{run_two_stage_inline, ParallelConfig};
+use metadse_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,12 +39,13 @@ use metadse_nn::autograd::grad;
 use metadse_nn::layers::{self, Module, Param};
 use metadse_nn::optim::{Adam, Optimizer};
 use metadse_nn::tensor::fused::{self, FusedModeGuard};
-use metadse_nn::tensor::pool::{self, PoolModeGuard};
-use metadse_nn::{BackendKind, BackendModeGuard, Elem, Tensor};
+use metadse_nn::tensor::pool;
+use metadse_nn::{BackendModeGuard, Elem, Tensor};
 use metadse_workloads::{Dataset, Metric, Task, TaskSampler};
 
 use crate::checkpoint::{CheckpointConfig, Checkpointer, TrainState};
-use crate::predictor::{PredictorConfig, TransformerPredictor};
+use crate::plan::Plan;
+use crate::predictor::TransformerPredictor;
 use crate::step::{self, Step};
 
 /// Hyperparameters of the MAML pre-training stage.
@@ -213,216 +215,77 @@ fn record_inner_loss_delta(steps: usize, first_loss: Elem, last_loss: Elem) {
     });
 }
 
-/// Evaluates `f(model, i)` for `i in 0..n`, returning results in index
+/// Evaluates `f(state, i)` for `i in 0..n`, returning results in index
 /// order: the one-stage case of [`fan_out_staged`].
-///
-/// `f` must leave the model's values as it found them (every caller
-/// restores what it adapts), because a worker hands its predictor from
-/// one index to the next.
-pub(crate) fn fan_out_tasks<T, F>(
-    model: &TransformerPredictor,
+pub(crate) fn fan_out_tasks<'t, C, S, T>(
+    template: &'t C,
     parallel: &ParallelConfig,
     n: usize,
-    f: F,
+    prepare: impl Fn(&'t C) -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T>
 where
+    C: Sync,
     T: Send + Sync,
-    F: Fn(&TransformerPredictor, usize) -> T + Sync,
 {
     fan_out_staged(
-        model,
+        template,
         parallel,
         n,
-        |_| (),
-        |m, _, i| (f(m, i), 0),
-        |_, _, _, _, _| -> () { unreachable!("one-stage fan-outs release no units") },
+        prepare,
+        |state, i| (f(state, i), 0),
+        |_, _, _, _| -> () { unreachable!("one-stage fan-outs release no units") },
     )
     .into_iter()
     .map(|(value, _)| value)
     .collect()
 }
 
-/// A two-stage fan-out over `items` that computes with `model`
-/// ([`ParallelConfig::run_two_stage`]): `first(m, state, i)` returns
-/// `(a, units)`, and `second(m, state, i, &a, u)` runs for each
+/// A two-stage fan-out over `items` from state the calling thread
+/// compiled ([`ParallelConfig::run_two_stage`]): `first(state, i)`
+/// returns `(a, units)`, and `second(state, i, &a, u)` runs for each
 /// `u in 0..units` on whichever worker is idle once item `i`'s first
 /// stage has returned. Results come back per item, units in order.
 ///
-/// With one effective worker every stage runs inline on `model` itself:
-/// no snapshot, no spawned thread. Otherwise each worker — the calling
-/// thread is worker 0 — rebuilds a thread-local predictor once from a
-/// plain-buffer snapshot of `model` (the `Rc`-based autograd graph never
-/// crosses threads) and keeps it for every stage it runs: the snapshot
-/// carries the parameter values, the installed attention masks (values,
-/// learnability and the slot the layers share) and the calling thread's
-/// tensor modes, which the worker holds for its whole run. `prepare`
-/// builds the worker's own state from its predictor before its first
-/// stage. The stages must be pure functions of the model values, the
-/// indices and the first-stage result, so results are bit-identical at
-/// every worker count.
+/// Every worker — the calling thread is worker 0, and a one-worker run
+/// takes the same path — enters the caller's tensor backend and builds
+/// its state once with `prepare(template)` before its first stage: a
+/// clone of the compiled step or plan (the `Rc`-based graph never crosses
+/// threads, and a compiled template does), which it keeps for every stage
+/// it runs. The backend is the one thread-local tensor mode a compiled
+/// plan reads; the fused-kernel and pool modes reach only the graph, so
+/// a fan-out that runs the graph carries what it needs in `prepare`. The
+/// stages must be pure functions of the template, the indices and the
+/// first-stage result, so results are bit-identical at every worker
+/// count.
 ///
-/// Before fanning out, the calling thread's pooled buffers are freed
-/// outright: its own work then reuses that memory from its allocator,
-/// rather than leaving it idle in the pool while the other workers grow
-/// memory of their own.
-pub(crate) fn fan_out_staged<S, A, B>(
-    model: &TransformerPredictor,
+/// Before fanning out to other workers, the calling thread's pooled
+/// buffers are freed outright: its own work then reuses that memory from
+/// its allocator, rather than leaving it idle in the pool while the other
+/// workers grow memory of their own.
+pub(crate) fn fan_out_staged<'t, C, S, A, B>(
+    template: &'t C,
     parallel: &ParallelConfig,
     items: usize,
-    prepare: impl Fn(&TransformerPredictor) -> S + Sync,
-    first: impl Fn(&TransformerPredictor, &mut S, usize) -> (A, usize) + Sync,
-    second: impl Fn(&TransformerPredictor, &mut S, usize, &A, usize) -> B + Sync,
+    prepare: impl Fn(&'t C) -> S + Sync,
+    first: impl Fn(&mut S, usize) -> (A, usize) + Sync,
+    second: impl Fn(&mut S, usize, &A, usize) -> B + Sync,
 ) -> Vec<(A, Vec<B>)>
 where
+    C: Sync,
     A: Send + Sync,
     B: Send,
 {
-    if parallel.workers_for(items) <= 1 {
-        return run_two_stage_inline(
-            items,
-            &mut prepare(model),
-            |state, i| first(model, state, i),
-            |state, i, a, u| second(model, state, i, a, u),
-        );
+    let backend = metadse_nn::backend::kind();
+    if parallel.workers_for(items) > 1 {
+        pool::release();
     }
-    let snapshot = WorkerSnapshot::capture(model);
-    pool::release();
     parallel.run_two_stage(
         items,
-        |_| {
-            let (model, guards) = snapshot.rebuild();
-            let state = prepare(&model);
-            (model, state, guards)
-        },
-        |(model, state, _), i| first(model, state, i),
-        |(model, state, _), i, a, u| second(model, state, i, a, u),
+        |_| (BackendModeGuard::set(backend), prepare(template)),
+        |(_, state), i| first(state, i),
+        |(_, state), i, a, u| second(state, i, a, u),
     )
-}
-
-/// The tensor modes of the thread that starts a fan-out. Their guards
-/// are thread-local, so without this a worker would run the process
-/// defaults.
-#[derive(Clone, Copy)]
-struct TensorModes {
-    backend: BackendKind,
-    fused: bool,
-    pool: bool,
-}
-
-/// The guards that hold [`TensorModes`] on a worker; dropping them
-/// restores that thread's own modes.
-type ModeGuards = (BackendModeGuard, FusedModeGuard, PoolModeGuard);
-
-impl TensorModes {
-    fn current() -> TensorModes {
-        TensorModes {
-            backend: metadse_nn::backend::kind(),
-            fused: fused::is_enabled(),
-            pool: pool::is_enabled(),
-        }
-    }
-
-    fn enter(self) -> ModeGuards {
-        (
-            BackendModeGuard::set(self.backend),
-            FusedModeGuard::set(self.fused),
-            PoolModeGuard::set(self.pool),
-        )
-    }
-}
-
-/// A predictor captured as plain `Send` buffers, with the tensor modes of
-/// the capturing thread: everything a worker needs to rebuild a predictor
-/// that computes exactly what the original does.
-struct WorkerSnapshot {
-    geometry: PredictorConfig,
-    /// Parameter values in [`Module::params`] order (a learnable mask
-    /// included, once).
-    values: Vec<Vec<Elem>>,
-    /// Each distinct installed mask.
-    masks: Vec<MaskBuffer>,
-    /// Per encoder layer, the index into `masks` of the mask it holds.
-    layer_masks: Vec<Option<usize>>,
-    modes: TensorModes,
-}
-
-/// An attention mask as plain buffers.
-struct MaskBuffer {
-    name: String,
-    values: Vec<Elem>,
-    shape: Vec<usize>,
-    learnable: bool,
-}
-
-impl WorkerSnapshot {
-    fn capture(model: &TransformerPredictor) -> WorkerSnapshot {
-        let mut distinct: Vec<Param> = Vec::new();
-        let layer_masks = model
-            .masks()
-            .into_iter()
-            .map(|mask| {
-                mask.map(|mask| {
-                    distinct
-                        .iter()
-                        .position(|seen| seen.shares_slot(&mask))
-                        .unwrap_or_else(|| {
-                            distinct.push(mask);
-                            distinct.len() - 1
-                        })
-                })
-            })
-            .collect();
-        let masks = distinct
-            .iter()
-            .map(|mask| {
-                let t = mask.get();
-                MaskBuffer {
-                    name: mask.name().to_string(),
-                    values: t.to_vec(),
-                    shape: t.shape().to_vec(),
-                    learnable: t.requires_grad(),
-                }
-            })
-            .collect();
-        WorkerSnapshot {
-            geometry: *model.config(),
-            values: model.snapshot_values(),
-            masks,
-            layer_masks,
-            modes: TensorModes::current(),
-        }
-    }
-
-    /// Enters the captured modes on this thread (until the returned
-    /// guards drop) and rebuilds the predictor under them: masks first,
-    /// so the parameter list (which holds a learnable mask) lines up with
-    /// the captured values.
-    fn rebuild(&self) -> (TransformerPredictor, ModeGuards) {
-        let guards = self.modes.enter();
-        obs::counter("maml/worker_rebuilds", 1);
-        let model = TransformerPredictor::new(self.geometry, 0);
-        let masks: Vec<Param> = self
-            .masks
-            .iter()
-            .map(|m| {
-                let values = m.values.clone();
-                let tensor = if m.learnable {
-                    Tensor::param_from_vec(values, &m.shape)
-                } else {
-                    Tensor::from_vec(values, &m.shape)
-                };
-                Param::new(m.name.clone(), tensor)
-            })
-            .collect();
-        let layer_masks: Vec<Option<Param>> = self
-            .layer_masks
-            .iter()
-            .map(|k| k.map(|k| masks[k].clone()))
-            .collect();
-        model.set_masks(&layer_masks);
-        model.load_values(&self.values);
-        (model, guards)
-    }
 }
 
 /// One meta-batch member, first-order: inner-adapts the worker's step
@@ -494,10 +357,10 @@ fn adapted_step_loss(step: &mut Step, task: &Task, steps: usize, lr: Elem) -> El
     step.loss(&task.query_x, &task.query_y)
 }
 
-/// Fans `f(step, i)` out over `n` tasks like [`fan_out_tasks`], giving
-/// each worker one compiled step for `rows`-row batches, compiled from
-/// its predictor, that holds the model's values at the start of every
-/// task.
+/// Fans `f(step, i)` out over `n` tasks like [`fan_out_tasks`]: one step
+/// for `rows`-row batches is compiled from `model` on the calling thread,
+/// each worker runs a clone of it, and every task starts from the
+/// model's values.
 fn fan_out_steps<T: Send + Sync>(
     model: &TransformerPredictor,
     parallel: &ParallelConfig,
@@ -505,23 +368,12 @@ fn fan_out_steps<T: Send + Sync>(
     rows: usize,
     f: impl Fn(&mut Step, usize) -> T + Sync,
 ) -> Vec<T> {
-    fan_out_staged(
-        model,
-        parallel,
-        n,
-        |m| {
-            let step = Step::compile(m, rows);
-            (step.values().to_vec(), step)
-        },
-        |_, (theta, step), i| {
-            step.set_values(theta);
-            (f(step, i), 0)
-        },
-        |_, _, _, _, _| -> () { unreachable!("one-stage fan-outs release no units") },
-    )
-    .into_iter()
-    .map(|(value, _)| value)
-    .collect()
+    let template = Step::compile(model, rows);
+    let theta = template.values();
+    fan_out_tasks(&template, parallel, n, Step::clone, |step, i| {
+        step.set_values(theta);
+        f(step, i)
+    })
 }
 
 /// Hash of everything a checkpoint must agree on to be resumable: the
@@ -704,9 +556,20 @@ pub fn pretrain(
                 .map(|dataset| sampler.sample(dataset, metric, &mut rng))
                 .collect();
             let outcomes = if config.second_order {
-                fan_out_tasks(model, &config.parallel, tasks.len(), |m, i| {
-                    second_order_meta_grads(m, &tasks[i], config)
-                })
+                // Each worker differentiates on a predictor of its own,
+                // built from the plan that holds the caller's values and
+                // masks, under the caller's fused mode: a double backward
+                // through the fused kernels rounds differently from the
+                // composite's.
+                let plan = Plan::from_model(model, 1);
+                let fused = fused::is_enabled();
+                fan_out_tasks(
+                    &plan,
+                    &config.parallel,
+                    tasks.len(),
+                    |plan| (FusedModeGuard::set(fused), plan.to_model()),
+                    |(_, m), i| second_order_meta_grads(m, &tasks[i], config),
+                )
             } else {
                 let rows = config.support_size.max(config.query_size);
                 fan_out_steps(model, &config.parallel, tasks.len(), rows, |s, i| {

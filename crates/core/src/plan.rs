@@ -18,6 +18,13 @@
 //!       → LayerNorm → MeanPool → Linear(gelu) → Linear [→ Mse]
 //! ```
 //!
+//! **Attention plans.** WAM's mask statistics read the last encoder
+//! layer's attention probabilities (paper Fig. 4). An attention plan is
+//! the inference op list cut after that layer's softmax, whose in-place
+//! `[b, heads, seq, seq]` block is the plan's output: it skips the last
+//! layer's context, feed-forward and the head, and its probabilities are
+//! the bits the graph records with `set_record_attention`.
+//!
 //! Two structural savings fall out of compile-time scheduling: an
 //! inference plan runs softmax **in place** on the logits block (the
 //! graph materializes a separate probability tensor), and each residual
@@ -71,7 +78,10 @@
 //! `TransformerPredictor::predict`, and a step's loss and gradients to
 //! `mse_on` followed by `autograd::grad(.., false)`, on the same thread;
 //! `tests/plan.rs` and `tests/step.rs` assert this across the whole
-//! backend × pool × fused mode matrix, poison inputs included.
+//! backend × pool × fused mode matrix. On poison inputs every non-NaN
+//! result keeps its bits, and a NaN stays a NaN; which NaN payload
+//! survives an add is not fixed by source order (the compiler may
+//! commute it), so no kernel pins it.
 //!
 //! **Compile is the serving gate.** A server runs nothing but plans, so
 //! [`Plan::compile`] rejects every artifact it cannot lower — `heads` not
@@ -89,7 +99,7 @@ use std::collections::HashMap;
 
 use metadse_nn::layers::{Module, Param};
 use metadse_nn::serialize::{CheckpointError, ParamEntry};
-use metadse_nn::Elem;
+use metadse_nn::{Elem, Tensor};
 
 use crate::predictor::{PredictorConfig, TransformerPredictor};
 use crate::servable::ServablePredictor;
@@ -440,14 +450,14 @@ pub(crate) struct ParamSlot {
 
 /// A compiled, shape-specialized plan for one predictor at one batch
 /// capacity. Plain `Send + Sync` data — server workers share one by
-/// `Arc` and bring their own [`PlanArena`].
-#[derive(Debug)]
+/// `Arc` and bring their own [`PlanArena`]; a fan-out hands each worker
+/// a clone of the plan its caller compiled.
+#[derive(Clone, Debug)]
 pub struct Plan {
     pub(crate) fingerprint: u64,
     pub(crate) capacity: usize,
-    pub(crate) seq: usize,
-    pub(crate) d_model: usize,
-    pub(crate) heads: usize,
+    /// The geometry the plan was lowered from.
+    pub(crate) config: PredictorConfig,
     pub(crate) dk: usize,
     /// Attention logit scale `1/sqrt(dk)`.
     pub(crate) scale: Elem,
@@ -495,7 +505,8 @@ impl Plan {
             .mask_values()
             .map(|m| weights.constant(m, cfg.num_params))
             .transpose()?;
-        let mut plan = lower(&cfg, weights, &vec![mask; cfg.depth], capacity, false)?;
+        let masks = vec![mask; cfg.depth];
+        let mut plan = lower(&cfg, weights, &masks, capacity, Form::Inference)?;
         plan.fingerprint = servable.fingerprint();
         Ok(plan)
     }
@@ -509,16 +520,72 @@ impl Plan {
     /// Panics if an installed mask is not `[num_params, num_params]`
     /// (the model's own forward would too).
     pub fn from_model(model: &TransformerPredictor, capacity: usize) -> Plan {
-        let (weights, masks) = Weights::from_model(model);
-        lower(model.config(), weights, &masks, capacity, false)
-            .expect("a live model lowers to a plan")
+        Plan::lower_model(model, capacity, Form::Inference)
     }
 
     /// A training plan: forward, loss and backward, from a live model.
     pub(crate) fn training(model: &TransformerPredictor, capacity: usize) -> Plan {
+        Plan::lower_model(model, capacity, Form::Training)
+    }
+
+    /// An attention plan from a live model: its output is the last
+    /// encoder layer's attention probabilities, `[b, heads, seq, seq]`
+    /// per batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has no encoder layer, or as
+    /// [`Plan::from_model`] does.
+    pub(crate) fn attention(model: &TransformerPredictor, capacity: usize) -> Plan {
+        assert!(model.config().depth > 0, "attention needs an encoder layer");
+        Plan::lower_model(model, capacity, Form::Attention)
+    }
+
+    fn lower_model(model: &TransformerPredictor, capacity: usize, form: Form) -> Plan {
         let (weights, masks) = Weights::from_model(model);
-        lower(model.config(), weights, &masks, capacity, true)
-            .expect("a live model lowers to a training plan")
+        lower(model.config(), weights, &masks, capacity, form)
+            .expect("a live model lowers to a plan")
+    }
+
+    /// Rebuilds a live predictor from a plan compiled from one: its
+    /// geometry, every parameter value, and each layer's mask — a
+    /// learnable one (in the parameter list) as a trainable leaf under
+    /// its name, a frozen one as a constant, and layers that shared a
+    /// mask sharing one slot again. The predictor computes what the model
+    /// the plan was compiled from computed.
+    pub(crate) fn to_model(&self) -> TransformerPredictor {
+        let s = self.config.num_params;
+        let model = TransformerPredictor::new(self.config, 0);
+        let mut built: Vec<(usize, Param)> = Vec::new();
+        let masks: Vec<Option<Param>> = self
+            .layer_masks()
+            .map(|mask| {
+                let off = mask?;
+                if let Some((_, param)) = built.iter().find(|(o, _)| *o == off) {
+                    return Some(param.clone());
+                }
+                let values = self.weights[off..off + s * s].to_vec();
+                let param = match self.params.iter().find(|slot| slot.offset == off) {
+                    Some(slot) => {
+                        Param::new(slot.name.clone(), Tensor::param_from_vec(values, &[s, s]))
+                    }
+                    None => Param::new("frozen.mask", Tensor::from_vec(values, &[s, s])),
+                };
+                built.push((off, param.clone()));
+                Some(param)
+            })
+            .collect();
+        model.set_masks(&masks);
+        self.store(&model);
+        model
+    }
+
+    /// The weight offset of each encoder layer's mask, in layer order.
+    fn layer_masks(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.ops.iter().filter_map(|op| match *op {
+            Op::AttnScores { mask, .. } => Some(mask),
+            _ => None,
+        })
     }
 
     /// Fingerprint of the artifact this plan was compiled from (0 for a
@@ -546,7 +613,7 @@ impl Plan {
 
     /// Input arity (`num_params` of the compiled geometry).
     pub fn arity(&self) -> usize {
-        self.seq
+        self.config.num_params
     }
 
     /// The parameter values, concatenated in [`Module::params`] order of
@@ -580,7 +647,7 @@ impl Plan {
         for (p, slot) in params.iter().zip(&self.params) {
             assert_eq!(p.name(), slot.name, "parameter order changed since compile");
             let values = self.weights[slot.offset..slot.offset + slot.len].to_vec();
-            p.set(metadse_nn::Tensor::param_from_vec(values, &slot.shape));
+            p.set(Tensor::param_from_vec(values, &slot.shape));
         }
     }
 
@@ -780,16 +847,29 @@ pub(crate) fn check_entries(
     resolve(cfg, &Weights::from_entries(entries)).map(|_| ())
 }
 
+/// What a lowered plan computes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// One prediction per row.
+    Inference,
+    /// The last encoder layer's attention probabilities: the inference
+    /// ops up to that layer's softmax.
+    Attention,
+    /// Predictions, their mean-squared error against labels, and its
+    /// first-order gradient.
+    Training,
+}
+
 /// Lowers geometry `cfg` over `weights` (with `masks[l]` the weight
-/// offset of layer `l`'s mask) into a plan; `train` adds the loss and
-/// the backward.
+/// offset of layer `l`'s mask) into a plan of the given form.
 fn lower(
     cfg: &PredictorConfig,
     weights: Weights,
     masks: &[Option<usize>],
     capacity: usize,
-    train: bool,
+    form: Form,
 ) -> Result<Plan, CheckpointError> {
+    let train = form == Form::Training;
     let capacity = capacity.max(1);
     cfg.validate().map_err(CheckpointError::Format)?;
     assert_eq!(masks.len(), cfg.depth, "one mask entry per layer");
@@ -815,6 +895,7 @@ fn lower(
     b.push(Op::Embed { x, out: tok });
     let mut hcur = tok;
     let mut layers = Vec::with_capacity(cfg.depth);
+    let mut attention = None;
     for (i, &mask) in masks.iter().enumerate() {
         // norms: [ln1, ln2] per layer; linears: 6 per layer.
         let (nrm, lin) = (2 * i, 6 * i);
@@ -864,6 +945,10 @@ fn lower(
             dst: probs,
             denom,
         });
+        if form == Form::Attention && i + 1 == cfg.depth {
+            attention = Some(probs);
+            break;
+        }
         let pack = b.scratch(s * dk);
         let ctx = b.buf(s * d);
         b.push(Op::AttnContext {
@@ -929,35 +1014,43 @@ fn lower(
         });
         hcur = res2;
     }
-    let enc = b.buf(s * d);
-    b.push(Op::LayerNorm {
-        src: hcur,
-        dst: enc,
-        norm: 2 * cfg.depth,
-    });
-    let pooled = b.buf(d);
-    b.push(Op::MeanPool {
-        src: enc,
-        dst: pooled,
-    });
-    let (hmm, htanh, hid) = (b.buf(hh), b.buf(hh), b.buf(hh));
-    b.push(Op::Linear {
-        src: pooled,
-        dst: hid,
-        lin: 6 * cfg.depth,
-        rows_per_item: 1,
-        gelu: Some((hmm, htanh)),
-        add: None,
-    });
-    let out = b.buf(1);
-    b.push(Op::Linear {
-        src: hid,
-        dst: out,
-        lin: 6 * cfg.depth + 1,
-        rows_per_item: 1,
-        gelu: None,
-        add: None,
-    });
+    // An attention plan ends at the last softmax; the others run the
+    // final layernorm, the mean pool and the head.
+    let (out, head) = match attention {
+        Some(probs) => (probs, None),
+        None => {
+            let enc = b.buf(s * d);
+            b.push(Op::LayerNorm {
+                src: hcur,
+                dst: enc,
+                norm: 2 * cfg.depth,
+            });
+            let pooled = b.buf(d);
+            b.push(Op::MeanPool {
+                src: enc,
+                dst: pooled,
+            });
+            let (hmm, htanh, hid) = (b.buf(hh), b.buf(hh), b.buf(hh));
+            b.push(Op::Linear {
+                src: pooled,
+                dst: hid,
+                lin: 6 * cfg.depth,
+                rows_per_item: 1,
+                gelu: Some((hmm, htanh)),
+                add: None,
+            });
+            let out = b.buf(1);
+            b.push(Op::Linear {
+                src: hid,
+                dst: out,
+                lin: 6 * cfg.depth + 1,
+                rows_per_item: 1,
+                gelu: None,
+                add: None,
+            });
+            (out, Some((pooled, (hmm, htanh, hid))))
+        }
+    };
 
     let mut outputs = vec![out];
     let mut target = None;
@@ -972,6 +1065,7 @@ fn lower(
         target = Some((y, loss));
         outputs.push(loss);
         let forward = std::mem::take(&mut b.ops);
+        let (pooled, head) = head.expect("a training plan has a head");
         let mut g = Backward::new(&mut b, &weights);
         g.emit(&Forward {
             cfg,
@@ -979,7 +1073,7 @@ fn lower(
             layers: &layers,
             hcur,
             pooled,
-            head: (hmm, htanh, hid),
+            head,
             out,
             y,
             linears: &linears,
@@ -1004,9 +1098,7 @@ fn lower(
     let mut plan = Plan {
         fingerprint: 0,
         capacity,
-        seq: s,
-        d_model: d,
-        heads: h,
+        config: *cfg,
         dk,
         scale: 1.0 / (dk as Elem).sqrt(),
         inv_seq: 1.0 / (s as Elem),
@@ -1606,6 +1698,88 @@ mod tests {
                 assert!(spec.offset >= reserved);
             }
         }
+    }
+
+    /// `model(2)` with no mask, a frozen one or a learnable one installed
+    /// on both layers.
+    fn masked_model(learnable: Option<bool>) -> TransformerPredictor {
+        let m = model(2);
+        if let Some(learnable) = learnable {
+            let values: Vec<Elem> = (0..36).map(|i| -0.1 * (i % 7) as Elem).collect();
+            let tensor = if learnable {
+                Tensor::param_from_vec(values, &[6, 6])
+            } else {
+                Tensor::from_vec(values, &[6, 6])
+            };
+            m.install_mask(Param::new("wam.mask", tensor));
+        }
+        m
+    }
+
+    fn inputs() -> Vec<Vec<Elem>> {
+        (0..5)
+            .map(|i| (0..6).map(|j| ((i * 6 + j) as Elem * 0.37).sin()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_plan_rebuilds_the_model_it_was_compiled_from() {
+        for learnable in [None, Some(false), Some(true)] {
+            let original = masked_model(learnable);
+            let rebuilt = Plan::from_model(&original, 1).to_model();
+            let bits = |m: &TransformerPredictor| -> Vec<u64> {
+                m.predict(&inputs()).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&rebuilt), bits(&original), "mask {learnable:?}");
+            let describe = |m: &TransformerPredictor| -> Vec<(String, Vec<Elem>, bool)> {
+                m.params()
+                    .iter()
+                    .map(|p| {
+                        (
+                            p.name().to_string(),
+                            p.get().to_vec(),
+                            p.get().requires_grad(),
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                describe(&rebuilt),
+                describe(&original),
+                "mask {learnable:?}"
+            );
+            // Both layers hold one shared mask again, frozen or learnable
+            // as it was.
+            let masks = rebuilt.masks();
+            match (&masks[0], &masks[1]) {
+                (Some(a), Some(b)) => {
+                    assert!(a.shares_slot(b));
+                    assert_eq!(Some(a.get().requires_grad()), learnable);
+                }
+                (None, None) => assert_eq!(learnable, None),
+                _ => panic!("mask {learnable:?}: layers disagree"),
+            }
+        }
+    }
+
+    #[test]
+    fn attention_plan_outputs_the_recorded_attention() {
+        for learnable in [None, Some(false), Some(true)] {
+            let m = masked_model(learnable);
+            let plan = Plan::attention(&m, 5);
+            let got = plan.output(&inputs(), &mut PlanArena::new(), None).to_vec();
+            m.set_record_attention(true);
+            m.predict(&inputs());
+            let recorded = m.last_attention().expect("recorded");
+            assert_eq!(recorded.shape(), [5, 2, 6, 6]);
+            let bits = |v: &[Elem]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&recorded.to_vec()), "mask {learnable:?}");
+        }
+        // The plan stops at the last softmax: the embedding, one whole
+        // layer, then the last layer's layernorm, three projections and
+        // head splits, scores and softmax.
+        let ops = Plan::attention(&model(2), 1).ops.len();
+        assert_eq!(ops, 1 + 15 + 9);
     }
 
     #[test]

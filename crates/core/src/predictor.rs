@@ -176,7 +176,9 @@ impl TransformerPredictor {
     }
 
     /// Enables attention recording on the last encoder layer (the layer
-    /// WAM statistics are extracted from, per Fig. 4).
+    /// WAM statistics are extracted from, per Fig. 4). The pipeline reads
+    /// those probabilities from a compiled attention plan; the recording
+    /// is its test oracle.
     pub fn set_record_attention(&self, record: bool) {
         self.encoder.last_attention().set_record_attention(record);
     }
@@ -237,9 +239,9 @@ impl TransformerPredictor {
     }
 
     /// Captures every parameter's values as plain `Vec<Elem>` buffers (in
-    /// [`Module::params`] order). Unlike the `Rc`-backed tensors, the
-    /// buffers are `Send`, so worker threads can rebuild an identical
-    /// predictor from them via [`TransformerPredictor::load_values`].
+    /// [`Module::params`] order), which
+    /// [`TransformerPredictor::load_values`] loads back into a predictor
+    /// of the same layout.
     pub fn snapshot_values(&self) -> Vec<Vec<Elem>> {
         self.params().iter().map(|p| p.get().to_vec()).collect()
     }
@@ -357,7 +359,7 @@ mod tests {
     fn snapshot_values_rebuild_an_identical_predictor() {
         let original = small();
         // A differently seeded predictor becomes bit-identical after
-        // loading the snapshot — the mechanism parallel MAML workers use.
+        // loading the snapshot.
         let rebuilt = TransformerPredictor::new(*original.config(), 999);
         let x = vec![vec![0.25; 6], vec![0.75; 6]];
         assert_ne!(original.predict(&x), rebuilt.predict(&x));

@@ -16,8 +16,10 @@
 //!
 //! A step owns its parameter values: it reads them from a model at
 //! compile time (or takes them through [`Step::set_values`]), updates
-//! them in place, and writes them back only through [`Step::store`]. Second-order MAML, which
-//! differentiates through the inner updates, stays on the `Rc` graph.
+//! them in place, and writes them back only through [`Step::store`]. A
+//! fan-out compiles one step on its calling thread and hands each worker
+//! a clone. Second-order MAML, which differentiates through the inner
+//! updates, stays on the `Rc` graph.
 
 use metadse_nn::{Elem, Tensor};
 
@@ -30,6 +32,17 @@ use crate::predictor::TransformerPredictor;
 pub struct Step {
     plan: Plan,
     arena: PlanArena,
+}
+
+/// A clone holds the same values and runs on an arena of its own, which
+/// it allocates on its first run.
+impl Clone for Step {
+    fn clone(&self) -> Step {
+        Step {
+            plan: self.plan.clone(),
+            arena: PlanArena::new(),
+        }
+    }
 }
 
 impl Step {

@@ -2,14 +2,19 @@
 //! Algorithm 2).
 //!
 //! WAM replaces similarity-based knowledge transfer with an *architectural*
-//! prior: attention weights recorded from the last self-attention layer
-//! during pre-training reveal which parameter interactions matter across
+//! prior: attention weights read from the last self-attention layer of
+//! the pre-trained model reveal which parameter interactions matter across
 //! many workloads. High-frequency interactions are kept; the rest receive a
 //! negative additive logit bias. The mask is installed as a **learnable**
 //! parameter and fine-tuned together with the model during adaptation, with
 //! cosine-annealed SGD (§VI-A).
+//!
+//! Everything here runs compiled ([`crate::plan`], [`crate::step`]): the
+//! attention statistics come from an attention plan (the inference op
+//! list cut after the last layer's softmax), and adaptation and the
+//! sweep's predictions from steps and plans the calling thread compiles
+//! once and every worker clones.
 
-use metadse_nn::autograd::no_grad;
 use metadse_nn::layers::{self, Module, Param};
 use metadse_nn::optim::CosineAnnealing;
 use metadse_nn::{Elem, Tensor};
@@ -64,28 +69,23 @@ impl AttentionStats {
         }
     }
 
-    /// Records one attention tensor `[batch, heads, seq, seq]`: for every
-    /// (batch, head, row), the `top_k` strongest interactions count as
-    /// active (the "mask candidates" of Fig. 4).
+    /// Records one batch of attention probabilities, `[batch, heads,
+    /// seq, seq]` flattened: for every (batch, head, row), the `top_k`
+    /// strongest interactions count as active (the "mask candidates" of
+    /// Fig. 4).
     ///
     /// # Panics
     ///
-    /// Panics if the tensor is not rank 4 with matching `seq`.
-    pub fn observe(&mut self, attention: &Tensor, top_k: usize) {
-        assert_eq!(attention.ndim(), 4, "attention must be [b, h, s, s]");
-        let (b, h, s) = (
-            attention.shape()[0],
-            attention.shape()[1],
-            attention.shape()[2],
+    /// Panics if `probs` does not hold whole `[seq, seq]` blocks.
+    pub fn observe(&mut self, probs: &[Elem], top_k: usize) {
+        let s = self.seq;
+        assert!(
+            s > 0 && probs.len().is_multiple_of(s * s),
+            "attention must be whole [{s}, {s}] blocks"
         );
-        assert_eq!(s, self.seq, "token count mismatch");
-        assert_eq!(attention.shape()[3], s, "attention must be square");
-        let data = attention.data();
         let k = top_k.min(s);
-        for bh in 0..(b * h) {
-            for row in 0..s {
-                let base = (bh * s + row) * s;
-                let row_slice = &data[base..base + s];
+        for block in probs.chunks_exact(s * s) {
+            for (row, row_slice) in block.chunks_exact(s).enumerate() {
                 // Indices of the k largest entries.
                 let mut idx: Vec<usize> = (0..s).collect();
                 idx.sort_by(|&i, &j| row_slice[j].total_cmp(&row_slice[i]));
@@ -152,9 +152,9 @@ impl AttentionStats {
 }
 
 /// Collects attention statistics by running the pre-trained model over the
-/// source datasets with recording enabled (the pre-training side of
-/// Fig. 4), then builds the workload-adaptive mask as a learnable
-/// parameter.
+/// source datasets and reading its last layer's attention (the
+/// pre-training side of Fig. 4), then builds the workload-adaptive mask
+/// as a learnable parameter.
 ///
 /// Each dataset is cut into `batch_size`-row batches, and the batches fan
 /// out across the machine's workers ([`ParallelConfig::default`]; see
@@ -174,10 +174,14 @@ pub fn generate_mask(
     )
 }
 
-/// [`generate_mask`] with its batches fanned out under `parallel`. Each
-/// batch's top-k counts are whole numbers, so summing them in batch order
-/// gives the serial statistics exactly: the mask is the same at every
-/// thread count.
+/// [`generate_mask`] with its batches fanned out under `parallel`. One
+/// attention plan — the model's inference op list cut after the last
+/// layer's softmax — is compiled on the calling thread and shared by
+/// every worker, each running it on an arena of its own; its
+/// probabilities are the bits the graph records. Each batch's top-k
+/// counts are whole numbers, so summing them in batch order gives the
+/// serial statistics exactly: the mask is the same at every thread
+/// count.
 pub fn generate_mask_with(
     model: &TransformerPredictor,
     sources: &[Dataset],
@@ -191,17 +195,20 @@ pub fn generate_mask_with(
         .iter()
         .flat_map(|dataset| dataset.samples().chunks(batch_size.max(1)))
         .collect();
-    let partial = fan_out_tasks(model, parallel, batches.len(), |m, i| {
-        let batch: Vec<Vec<Elem>> = batches[i].iter().map(|s| s.features.clone()).collect();
-        m.set_record_attention(true);
-        no_grad(|| m.forward_batch(&batch));
-        m.set_record_attention(false);
-        let mut stats = AttentionStats::new(seq);
-        if let Some(attention) = m.last_attention() {
-            stats.observe(&attention, config.top_k);
-        }
-        stats
-    });
+    let rows = batches.iter().map(|b| b.len()).max().unwrap_or(1);
+    let plan = Plan::attention(model, rows);
+    let partial = fan_out_tasks(
+        &plan,
+        parallel,
+        batches.len(),
+        |plan| (plan, PlanArena::new()),
+        |(plan, arena), i| {
+            let batch: Vec<Vec<Elem>> = batches[i].iter().map(|s| s.features.clone()).collect();
+            let mut stats = AttentionStats::new(seq);
+            stats.observe(plan.output(&batch, arena, None), config.top_k);
+            stats
+        },
+    );
     let mut stats = AttentionStats::new(seq);
     for part in &partial {
         stats.merge(part);
@@ -340,13 +347,13 @@ pub fn adapt_and_predict(
 /// predicts the others' queries instead of idling.
 ///
 /// Each task adapts independently from the same pre-trained parameters
-/// and the same mask prior. A worker compiles one adaptation [`Step`]
-/// and one prediction [`Plan`] from its own predictor (rebuilt from a
-/// plain-buffer snapshot), adapts each of its tasks from the pre-trained
-/// values, and loads a task's adapted values into its plan when it
-/// predicts that task's chunks. Predictions come back in task order and
-/// are bit-identical to the serial sweep (which runs inline when one
-/// thread is effective) and to the graph's `predict` after the graph's
+/// and the same mask prior. The calling thread compiles one adaptation
+/// [`Step`] and one prediction [`Plan`] (with the prior installed on the
+/// model only while they compile), and each worker runs clones of them:
+/// it adapts each of its tasks from the pre-trained values, and loads a
+/// task's adapted values into its plan when it predicts that task's
+/// chunks. Predictions come back in task order and are bit-identical at
+/// every thread count and to the graph's `predict` after the graph's
 /// adaptation loop.
 pub fn adapt_sweep(
     model: &TransformerPredictor,
@@ -360,14 +367,11 @@ pub fn adapt_sweep(
     sweep(model, tasks, mask, config, parallel)
 }
 
-/// A sweep worker's compiled view of its predictor.
+/// A sweep worker's compiled state.
 struct SweepWorker {
-    /// The adaptation step, compiled with the worker's mask prior
-    /// installed as a learnable parameter.
+    /// The adaptation step, compiled with the mask prior installed as a
+    /// learnable parameter.
     step: Step,
-    /// The pre-trained values (and the mask prior) to adapt each task
-    /// from.
-    theta: Vec<Elem>,
     /// The prediction plan, and the task whose adapted values it holds.
     plan: Plan,
     holds: Option<usize>,
@@ -381,43 +385,44 @@ fn sweep(
     config: &AdaptConfig,
     parallel: &ParallelConfig,
 ) -> Vec<Vec<Elem>> {
-    let caller_masks = model.masks();
-    let prior: Option<(Vec<Elem>, Vec<usize>)> = mask.map(|m| (m.get().to_vec(), m.shape()));
     let support = tasks.iter().map(|t| t.support_x.len()).max().unwrap_or(1);
     let query = tasks.iter().map(|t| t.query_x.len()).max().unwrap_or(1);
+    // Each target task adapts its own learnable copy of the shared
+    // architectural prior: the step's values are reset to the weights
+    // and the prior before every task.
+    let caller_masks = model.masks();
+    if let Some(prior) = mask {
+        model.install_mask(Param::new(
+            "wam.mask",
+            Tensor::param_from_vec(prior.get().to_vec(), &prior.shape()),
+        ));
+    }
+    let template = (
+        Step::compile(model, support),
+        Plan::from_model(model, query.min(QUERY_CHUNK_ROWS)),
+    );
+    model.set_masks(&caller_masks);
+    let theta = template.0.values();
     let adapted = fan_out_staged(
-        model,
+        &template,
         parallel,
         tasks.len(),
-        |m| {
-            // Each target task adapts its own learnable copy of the shared
-            // architectural prior: the step's values are reset to the
-            // weights and the prior before every task.
-            if let Some((values, shape)) = &prior {
-                m.install_mask(Param::new(
-                    "wam.mask",
-                    Tensor::param_from_vec(values.clone(), shape),
-                ));
-            }
-            let step = Step::compile(m, support);
-            SweepWorker {
-                theta: step.values().to_vec(),
-                step,
-                plan: Plan::from_model(m, query.min(QUERY_CHUNK_ROWS)),
-                holds: None,
-                arena: PlanArena::new(),
-            }
+        |(step, plan)| SweepWorker {
+            step: step.clone(),
+            plan: plan.clone(),
+            holds: None,
+            arena: PlanArena::new(),
         },
-        |_, w: &mut SweepWorker, i| {
+        |w, i| {
             let task = &tasks[i];
-            w.step.set_values(&w.theta);
+            w.step.set_values(theta);
             adapt_step(&mut w.step, &task.support_x, &task.support_y, config);
             (
                 w.step.values().to_vec(),
                 task.query_x.len().div_ceil(QUERY_CHUNK_ROWS),
             )
         },
-        |_, w, i, values, chunk| {
+        |w, i, values, chunk| {
             if w.holds != Some(i) {
                 w.plan.set_values(values);
                 w.holds = Some(i);
@@ -427,7 +432,6 @@ fn sweep(
                 .run(rows.expect("chunk within the query set"), &mut w.arena)
         },
     );
-    model.set_masks(&caller_masks);
     adapted
         .into_iter()
         .map(|(_, chunks)| chunks.concat())
@@ -476,14 +480,11 @@ mod tests {
     fn stats_track_topk_frequencies() {
         let mut stats = AttentionStats::new(3);
         // One batch, one head: row attention concentrated on column 0.
-        let attn = Tensor::from_vec(
-            vec![
-                0.8, 0.1, 0.1, //
-                0.7, 0.2, 0.1, //
-                0.9, 0.05, 0.05,
-            ],
-            &[1, 1, 3, 3],
-        );
+        let attn = [
+            0.8, 0.1, 0.1, //
+            0.7, 0.2, 0.1, //
+            0.9, 0.05, 0.05,
+        ];
         stats.observe(&attn, 1);
         let freq = stats.frequencies();
         assert_eq!(stats.observations(), 1);
@@ -496,14 +497,11 @@ mod tests {
     #[test]
     fn mask_keeps_diagonal_and_frequent_pairs() {
         let mut stats = AttentionStats::new(3);
-        let attn = Tensor::from_vec(
-            vec![
-                0.8, 0.1, 0.1, //
-                0.1, 0.1, 0.8, //
-                0.1, 0.8, 0.1,
-            ],
-            &[1, 1, 3, 3],
-        );
+        let attn = [
+            0.8, 0.1, 0.1, //
+            0.1, 0.1, 0.8, //
+            0.1, 0.8, 0.1,
+        ];
         stats.observe(&attn, 1);
         let mask = stats.build_mask(&WamConfig {
             top_k: 1,

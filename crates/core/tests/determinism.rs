@@ -4,7 +4,7 @@
 //! meta-parameter snapshot, and reductions run in task order.
 
 use metadse::experiment::{Environment, Scale};
-use metadse::maml::{pretrain, MamlConfig};
+use metadse::maml::{pretrain, MamlConfig, PretrainReport};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::trendse::TrEnDse;
 use metadse::wam::{self, AdaptConfig, WamConfig};
@@ -52,30 +52,40 @@ fn tiny_model(dim: usize) -> TransformerPredictor {
     )
 }
 
+/// Two tiny source workloads and one validation workload.
+fn tiny_workloads(dim: usize) -> (Vec<Dataset>, Vec<Dataset>) {
+    // tiny() needs support_size + query_size = 50 samples per task.
+    let train = (0..2)
+        .map(|i| synthetic_dataset(60 + i, dim, 80, i as f64 * 0.4))
+        .collect();
+    (train, vec![synthetic_dataset(70, dim, 80, 0.2)])
+}
+
+/// The tiny pretrain of `model`, first- or second-order, under
+/// `parallel`: its report and final parameters.
+fn tiny_pretrain(
+    model: &TransformerPredictor,
+    second_order: bool,
+    parallel: ParallelConfig,
+) -> (PretrainReport, Vec<Vec<f64>>) {
+    let (train, val) = tiny_workloads(model.config().num_params);
+    let config = MamlConfig {
+        second_order,
+        parallel,
+        ..MamlConfig::tiny()
+    };
+    let report = pretrain(model, &train, &val, Metric::Ipc, &config);
+    let params = model.params().iter().map(|p| p.get().to_vec()).collect();
+    (report, params)
+}
+
 #[test]
 fn pretrain_is_bit_identical_across_thread_counts() {
     let dim = 6;
-    // tiny() needs support_size + query_size = 50 samples per task.
-    let train: Vec<Dataset> = (0..2)
-        .map(|i| synthetic_dataset(60 + i, dim, 80, i as f64 * 0.4))
-        .collect();
-    let val = vec![synthetic_dataset(70, dim, 80, 0.2)];
-
-    let run = |threads: usize| {
-        let model = tiny_model(dim);
-        let config = MamlConfig {
-            // Oversubscribe: the CI host may be single-core — force real
-            // workers for the 2-task meta-batch.
-            parallel: ParallelConfig::with_threads(threads).oversubscribed(),
-            ..MamlConfig::tiny()
-        };
-        let report = pretrain(&model, &train, &val, Metric::Ipc, &config);
-        let params: Vec<Vec<f64>> = model.params().iter().map(|p| p.get().to_vec()).collect();
-        (report, params)
-    };
-
-    let (serial_report, serial_params) = run(1);
-    let (parallel_report, parallel_params) = run(4);
+    // Oversubscribe: the CI host may be single-core — force real
+    // workers for the 2-task meta-batch.
+    let (serial_report, serial_params) = tiny_pretrain(&tiny_model(dim), false, forced(1));
+    let (parallel_report, parallel_params) = tiny_pretrain(&tiny_model(dim), false, forced(4));
 
     assert_eq!(
         serial_report, parallel_report,
@@ -87,43 +97,75 @@ fn pretrain_is_bit_identical_across_thread_counts() {
     );
 
     check_cross_build_digest(&serial_report, &serial_params);
+
+    // Second-order MAML differentiates on a predictor each worker builds
+    // from the caller's plan: its values, and a frozen or learnable mask
+    // shared by both layers of a depth-2 model.
+    for mask in [None, Some(false), Some(true)] {
+        let model = || {
+            let model = two_layer_model(dim);
+            if let Some(learnable) = mask {
+                let values = mask_values(dim);
+                let tensor = if learnable {
+                    Tensor::param_from_vec(values, &[dim, dim])
+                } else {
+                    Tensor::from_vec(values, &[dim, dim])
+                };
+                model.install_mask(Param::new("wam.mask", tensor));
+            }
+            model
+        };
+        let serial = tiny_pretrain(&model(), true, forced(1));
+        for threads in [2, 4] {
+            assert_eq!(
+                tiny_pretrain(&model(), true, forced(threads)),
+                serial,
+                "second order, mask {mask:?}, {threads} threads"
+            );
+        }
+    }
 }
 
 /// The buffer pool and the fused kernels are performance features with a
 /// bit-identity contract: under each backend, the full tiny pretrain must
-/// land on the same bits in all four pool × fused combinations. The
-/// backends' bits differ from each other, so results are compared only
-/// within one. Every toggle is thread-local, so the run is pinned to one
-/// inline thread.
+/// land on the same bits in all four pool × fused combinations. Only the
+/// graph reads these modes, so second-order MAML, the pretrain that still
+/// trains on the graph, is where they reach the kernels; the first-order
+/// pretrain runs compiled steps. Second order differentiates the fused
+/// kernels' backward itself, and that double backward rounds differently
+/// from the composite's, so there the pool is checked under each fused
+/// mode. The backends' bits differ from each other, so results are
+/// compared only within one. Every toggle is thread-local, so the run is
+/// pinned to one inline thread.
 #[test]
 fn pool_and_fusion_do_not_change_pretrain_numerics() {
     let dim = 6;
-    let train: Vec<Dataset> = (0..2)
-        .map(|i| synthetic_dataset(60 + i, dim, 80, i as f64 * 0.4))
-        .collect();
-    let val = vec![synthetic_dataset(70, dim, 80, 0.2)];
-
-    let run = |pool: bool, fused: bool| {
+    let run = |second_order: bool, pool: bool, fused: bool| {
         let _pool = PoolModeGuard::set(pool);
         let _fuse = FusedModeGuard::set(fused);
-        let model = tiny_model(dim);
-        let config = MamlConfig {
-            parallel: ParallelConfig::with_threads(1),
-            ..MamlConfig::tiny()
-        };
-        let report = pretrain(&model, &train, &val, Metric::Ipc, &config);
-        let params: Vec<Vec<f64>> = model.params().iter().map(|p| p.get().to_vec()).collect();
-        (report, params)
+        tiny_pretrain(
+            &tiny_model(dim),
+            second_order,
+            ParallelConfig::with_threads(1),
+        )
     };
 
     for kind in [BackendKind::Scalar, BackendKind::Simd] {
         let _backend = BackendModeGuard::set(kind);
-        let fast = run(true, true);
+        let fast = run(false, true, true);
         for (pool, fused) in [(true, false), (false, true), (false, false)] {
             assert_eq!(
-                run(pool, fused),
+                run(false, pool, fused),
                 fast,
                 "backend {}: pool={pool} fused={fused} diverged from pool + fused",
+                kind.name()
+            );
+        }
+        for fused in [true, false] {
+            assert_eq!(
+                run(true, false, fused),
+                run(true, true, fused),
+                "backend {}, second order, fused={fused}: the pool changed the bits",
                 kind.name()
             );
         }
@@ -250,9 +292,12 @@ fn sweep_workers_keep_the_callers_masks() {
     }
 }
 
-/// The backend, fused-kernel and pool guards are thread-local; fan-out
-/// workers must run under the caller's, so serial and forced-parallel
-/// sweeps and masks agree bit-for-bit under any of them.
+/// The backend guard is thread-local and changes bits; fan-out workers
+/// must run under the caller's, so serial and forced-parallel sweeps,
+/// masks and pretrains agree bit-for-bit under it. The fused-kernel and
+/// pool guards reach no compiled plan, so sweeps and masks agree under
+/// them as well; the fused mode reaches second-order MAML's graph, whose
+/// workers run under the caller's.
 #[test]
 fn fan_outs_carry_the_callers_tensor_modes() {
     let dim = 6;
@@ -286,6 +331,22 @@ fn fan_outs_carry_the_callers_tensor_modes() {
     {
         let _unpooled = PoolModeGuard::set(false);
         assert_eq!(run(&ParallelConfig::serial()), run(&forced(3)), "pool off");
+    }
+    // Second-order MAML trains on the graph, where the fused mode changes
+    // the bits of a double backward: its workers run under the caller's
+    // backend and fused mode.
+    let second_order = |parallel| tiny_pretrain(&two_layer_model(dim), true, parallel);
+    {
+        let _scalar = BackendModeGuard::set(BackendKind::Scalar);
+        assert_eq!(second_order(forced(1)), second_order(forced(3)), "scalar");
+    }
+    {
+        let _primitive = FusedModeGuard::set(false);
+        assert_eq!(
+            second_order(forced(1)),
+            second_order(forced(3)),
+            "fused off"
+        );
     }
 }
 

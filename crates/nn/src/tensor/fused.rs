@@ -8,9 +8,12 @@
 //! second-order MAML) keeps working through every fused kernel.
 //!
 //! Bit-identity contract: with fusion enabled, forward values **and**
-//! gradient values are bit-for-bit identical to the unfused composite that
-//! runs when [`FusedModeGuard`] disables fusion on the current thread.
-//! That holds because
+//! first-order gradient values are bit-for-bit identical to the unfused
+//! composite that runs when [`FusedModeGuard`] disables fusion on the
+//! current thread. Every result that is not a NaN keeps its bits; a NaN
+//! result is a NaN on both paths, but its payload is not pinned — which
+//! NaN operand's payload survives an add is not fixed by source order,
+//! since the compiler may commute the add. That holds because
 //!
 //! 1. the fused forward loops replicate the composite's per-element
 //!    floating-point expression trees in the same order (Rust never
@@ -23,8 +26,15 @@
 //!    hot path), an equivalent raw loop computes the same per-element
 //!    expression trees without materialising the intermediate tensors.
 //!
-//! The cross-build determinism digest and the fused-vs-composite equality
-//! tests in `crates/nn/tests/fused.rs` enforce this contract.
+//! Gradients built with `create_graph = true` carry the same values, but
+//! differentiating them again (the double backward of second-order MAML)
+//! walks the fused backward's own tensor-op graph, which rounds
+//! differently from the composite's: second-order results agree to
+//! rounding, not bit for bit.
+//!
+//! The cross-build determinism digest and the fused-vs-composite tests in
+//! `crates/nn/tests/fused.rs` (finite and poison inputs) enforce this
+//! contract.
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -1,6 +1,7 @@
 //! Fused-kernel verification: bit-exact agreement with the primitive
-//! compositions, numerical gradient checks, and second-order (double
-//! backward) behaviour through every fused node.
+//! compositions (on poison, every non-NaN bit, and NaN as a class),
+//! numerical gradient checks, and second-order (double backward)
+//! behaviour through every fused node.
 
 use metadse_nn::autograd::grad;
 use metadse_nn::gradcheck::check_gradients;
@@ -107,6 +108,101 @@ fn matmul_nt_sparse_lhs_matches_composite_bitwise() {
     let a = param(&[0.0, 1.2, 0.0, 0.0, -0.8, 0.0, 0.0, 0.5, 0.0], &[1, 3, 3]);
     let b = param(&X23, &[1, 2, 3]);
     assert_paths_bitwise_equal(|t| t[0].matmul_nt(&t[1]).squared_norm(), &[a, b]);
+}
+
+// ---------------------------------------------------------------------
+// Fused vs composite on poison: non-NaN bits exact, NaNs as a class
+// ---------------------------------------------------------------------
+
+/// Seven rows of four: a poisoned lane in each of the first five — NaN,
+/// +inf, −inf, −0.0 and a subnormal — then a row of signed zeros and an
+/// ordinary row.
+#[rustfmt::skip]
+const POISON: [Elem; 28] = [
+    Elem::NAN, 0.5, -0.25, 1.0,
+    Elem::INFINITY, 0.3, -1.0, 0.2,
+    Elem::NEG_INFINITY, 0.7, 0.1, -0.6,
+    -0.0, 0.4, 1.2, -0.9,
+    1e-310, -0.8, 0.05, 0.6,
+    -0.0, 0.0, -0.0, 0.0,
+    0.31, -1.2, 0.77, 2.05,
+];
+
+/// The contract on poison: the same bits, or NaN on both sides — which
+/// NaN payload survives an add is not fixed by source order.
+fn agree(a: &[Elem], b: &[Elem]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Runs `f` fused and composite on poisoned inputs and compares its
+/// output, and every input's first-order gradient of the output summed
+/// with fixed weights, under [`agree`]. The first input's gradient must
+/// hold both NaNs and other values, so both halves of the contract are
+/// exercised.
+fn assert_paths_agree_on_poison(f: impl Fn(&[Tensor]) -> Tensor, inputs: &[Tensor]) {
+    let run = |fused: bool| {
+        let _fuse = FusedModeGuard::set(fused);
+        let out = f(inputs);
+        let weights: Vec<Elem> = (0..out.numel())
+            .map(|i| 0.5 + 0.25 * (i % 5) as Elem)
+            .collect();
+        let loss = out.mul(&Tensor::from_vec(weights, out.shape())).sum_all();
+        let grads = grad(&loss, inputs, false);
+        (
+            out.to_vec(),
+            grads.iter().map(Tensor::to_vec).collect::<Vec<_>>(),
+        )
+    };
+    let (fused_out, fused_grads) = run(true);
+    let (plain_out, plain_grads) = run(false);
+    assert!(
+        agree(&fused_out, &plain_out),
+        "forward: fused {fused_out:?} vs composite {plain_out:?}"
+    );
+    let first = &fused_grads[0];
+    assert!(first.iter().any(|v| v.is_nan()) && first.iter().any(|v| !v.is_nan()));
+    for (i, (fg, pg)) in fused_grads.iter().zip(&plain_grads).enumerate() {
+        assert!(
+            agree(fg, pg),
+            "gradient {i}: fused {fg:?} vs composite {pg:?}"
+        );
+    }
+}
+
+#[test]
+fn softmax_paths_agree_on_poison() {
+    assert_paths_agree_on_poison(|t| t[0].softmax_fused(1), &[param(&POISON, &[7, 4])]);
+}
+
+#[test]
+fn layernorm_affine_paths_agree_on_poison() {
+    let gamma = param(&[1.1, 0.9, 1.3, 0.7], &[4]);
+    let beta = param(&[0.05, -0.1, 0.2, 0.0], &[4]);
+    assert_paths_agree_on_poison(
+        |t| t[0].layernorm_affine(&t[1], &t[2], 1e-5),
+        &[param(&POISON, &[7, 4]), gamma, beta],
+    );
+}
+
+#[test]
+fn bias_gelu_paths_agree_on_poison() {
+    let b = param(&[0.3, -0.2, 0.15, -0.5], &[4]);
+    assert_paths_agree_on_poison(
+        |t| t[0].bias_add_activation(&t[1], Activation::Gelu),
+        &[param(&POISON, &[7, 4]), b],
+    );
+}
+
+#[test]
+fn sq_err_mean_paths_agree_on_poison() {
+    let target: Vec<Elem> = (0..28).map(|i| (i as Elem * 0.37).sin()).collect();
+    assert_paths_agree_on_poison(
+        |t| t[0].sq_err_mean(&t[1]),
+        &[param(&POISON, &[7, 4]), param(&target, &[7, 4])],
+    );
 }
 
 /// The pool never changes values: a small forward/backward is bit-equal

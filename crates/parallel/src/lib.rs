@@ -198,8 +198,8 @@ impl ParallelConfig {
     ///
     /// Each worker builds its state with `init(worker)` on its own thread
     /// just before its first claim, and hands it to every stage it runs,
-    /// so thread-local set-up (a model rebuild) is paid once per worker
-    /// that does any work. Worker 0 is the calling thread.
+    /// so per-worker set-up (a clone of compiled state) is paid once per
+    /// worker that does any work. Worker 0 is the calling thread.
     ///
     /// With one effective worker (`workers_for(items)`) everything runs
     /// inline in the order one worker takes it: every first stage in item
@@ -232,7 +232,16 @@ impl ParallelConfig {
         let threads = self.workers_for(items);
         if threads <= 1 {
             obs::counter("parallel/fanouts_serial", 1);
-            return run_two_stage_inline(items, &mut init(0), first, second);
+            let state = &mut init(0);
+            let firsts: Vec<(A, usize)> = (0..items).map(|i| first(state, i)).collect();
+            return firsts
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, units))| {
+                    let seconds = (0..units).map(|u| second(state, i, &a, u)).collect();
+                    (a, seconds)
+                })
+                .collect();
         }
         let board = Board::new(items);
         let firsts: Vec<OnceLock<A>> = (0..items).map(|_| OnceLock::new()).collect();
@@ -325,27 +334,6 @@ impl ParallelConfig {
 pub fn available_parallelism() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Runs a two-stage fan-out inline on `state`, in the order one worker of
-/// [`ParallelConfig::run_two_stage`] takes it: every first stage in item
-/// order, then every unit in (item, unit) order. The serial path of
-/// callers whose state cannot cross threads.
-pub fn run_two_stage_inline<S, A, B>(
-    items: usize,
-    state: &mut S,
-    mut first: impl FnMut(&mut S, usize) -> (A, usize),
-    mut second: impl FnMut(&mut S, usize, &A, usize) -> B,
-) -> Vec<(A, Vec<B>)> {
-    let firsts: Vec<(A, usize)> = (0..items).map(|i| first(state, i)).collect();
-    firsts
-        .into_iter()
-        .enumerate()
-        .map(|(i, (a, units))| {
-            let seconds = (0..units).map(|u| second(state, i, &a, u)).collect();
-            (a, seconds)
-        })
-        .collect()
 }
 
 /// Runs `work(w)` for every worker `w` in `0..threads`, worker 0 on the

@@ -4,8 +4,9 @@
 # the compiled-plan and compiled-step parity suites (crates/core/tests/
 # plan.rs, step.rs) among them — under each backend against one shared
 # METADSE_DIGEST_FILE: the first run records the pretrain digest
-# (scalar: the file itself, simd: ".simd") and the plan digests
-# (".plan", ".plan.simd"), and every later run with the same file must
+# (scalar: the file itself, simd: ".simd"), the plan digests (".plan",
+# ".plan.simd") and the WAM mask digests (".mask", ".mask.simd"), and
+# every later run with the same file must
 # reproduce them bit-for-bit — run it in two checkouts with one file to
 # compare a change against its parent. The two backends pin *separate*
 # digests (the SIMD backend reassociates reductions, so its bits
@@ -27,3 +28,4 @@ done
 
 echo "pretrain digest $(cat "$digest_file") (scalar), $(cat "$digest_file.simd") (simd)"
 echo "plan digest $(cat "$digest_file.plan") (scalar), $(cat "$digest_file.plan.simd") (simd)"
+echo "mask digest $(cat "$digest_file.mask") (scalar), $(cat "$digest_file.mask.simd") (simd)"
