@@ -263,8 +263,8 @@ fn main() {
     // --- Compiled training step --------------------------------------------
     report::section("compiled 10-shot step: per-op forward and backward");
     let (profile, steps) = profile_adaptation_steps();
-    let forward: u64 = profile.us.iter().sum();
-    let backward: u64 = profile.backward_us.iter().sum();
+    let forward: u64 = profile.ns.iter().sum();
+    let backward: u64 = profile.backward_ns.iter().sum();
     let mut step_rows = vec![vec![
         "op kind".to_string(),
         "forward/step".to_string(),
@@ -272,16 +272,16 @@ fn main() {
         "share".to_string(),
     ]];
     let mut order: Vec<usize> = (0..OP_KINDS).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(profile.us[i] + profile.backward_us[i]));
+    order.sort_by_key(|&i| std::cmp::Reverse(profile.ns[i] + profile.backward_ns[i]));
     for i in order {
-        let (f, b) = (profile.us[i], profile.backward_us[i]);
+        let (f, b) = (profile.ns[i], profile.backward_ns[i]);
         if f + b == 0 {
             continue;
         }
         step_rows.push(vec![
             OP_KIND_NAMES[i].to_string(),
-            human_ns(u128::from(f) * 1000 / steps as u128),
-            human_ns(u128::from(b) * 1000 / steps as u128),
+            human_ns(u128::from(f) / steps as u128),
+            human_ns(u128::from(b) / steps as u128),
             format!(
                 "{:.1}%",
                 100.0 * (f + b) as f64 / (forward + backward).max(1) as f64
@@ -292,11 +292,13 @@ fn main() {
     report::line(format!(
         "attribution: {steps} compiled first-order steps (a WAM adaptation) on \
          10 shots at the default geometry with a learnable mask: {} forward \
-         and {} backward per step. Adaptation and meta-training run this \
-         op list; the `Rc` graph only serves second-order MAML and the \
-         test oracles.",
-        human_ns(u128::from(forward) * 1000 / steps as u128),
-        human_ns(u128::from(backward) * 1000 / steps as u128),
+         and {} backward per step. The `gelu` row is the feed-forward \
+         linears' bias+GELU pass, timed apart from their matmuls (the \
+         `linear` row). Adaptation and meta-training run this op list; \
+         the `Rc` graph only serves second-order MAML and the test \
+         oracles.",
+        human_ns(u128::from(forward) / steps as u128),
+        human_ns(u128::from(backward) / steps as u128),
     ));
 
     // --- Serve pipeline attribution ---------------------------------------
@@ -389,7 +391,8 @@ fn main() {
              ({} cache hit(s); admission re-consults the cache only after \
              a hot swap). The per-op rows split the plan executor's \
              forward time by IR op kind via the `serve/plan_op/*` \
-             counters; on the dispatch-bound geometry the \
+             counters (`gelu` is the feed-forward bias+GELU pass, timed \
+             apart from its matmul); on the dispatch-bound geometry the \
              linear/attention ops dominate while shape plumbing \
              (split/merge heads) stays marginal.",
             plan_totals.misses,

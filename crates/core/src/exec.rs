@@ -18,13 +18,13 @@
 //! in `plan::tests::live_ranges_never_overlap`).
 
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use metadse_nn::prims::{self, Kernels, SPARSE_ZERO_FRACTION};
 use metadse_nn::tensor::pool::Buf;
 use metadse_nn::Elem;
 
-use crate::plan::{BufId, LinearW, Op, Plan, LN_EPS, OP_KINDS, OP_KIND_NAMES};
+use crate::plan::{BufId, LinearW, Op, Plan, GELU_KIND, LN_EPS, OP_KINDS, OP_KIND_NAMES};
 
 /// A worker-owned execution arena. One slab backs every intermediate of
 /// a plan forward (and a training step's backward); it grows to the
@@ -66,36 +66,63 @@ impl PlanArena {
 }
 
 /// Per-op wall-time attribution for profiled runs, bucketed by op kind:
-/// forward ops in `us`, backward ops (a training step's) in
-/// `backward_us`, each indexed like [`crate::plan::OP_KIND_NAMES`].
+/// forward ops in `ns`, backward ops (a training step's) in
+/// `backward_ns`, each indexed like [`crate::plan::OP_KIND_NAMES`]. A
+/// GELU linear's bias+GELU pass counts as `gelu`, its matmul and bias
+/// fold as `linear`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanProfile {
-    /// Forward microseconds per op kind.
-    pub us: [u64; OP_KINDS],
-    /// Backward microseconds per op kind (the kind of the forward op
+    /// Forward nanoseconds per op kind.
+    pub ns: [u64; OP_KINDS],
+    /// Backward nanoseconds per op kind (the kind of the forward op
     /// each gradient op differentiates).
-    pub backward_us: [u64; OP_KINDS],
+    pub backward_ns: [u64; OP_KINDS],
 }
 
 impl PlanProfile {
     /// `(kind name, total µs)` forward rows for kinds that actually ran.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        rows_of(&self.us)
+        rows_of(&self.ns)
     }
 
     /// `(kind name, total µs)` backward rows for kinds that actually ran.
     pub fn backward_rows(&self) -> Vec<(&'static str, u64)> {
-        rows_of(&self.backward_us)
+        rows_of(&self.backward_ns)
+    }
+
+    /// Adds one op's wall time: `total`, of which `gelu` was its
+    /// bias+GELU pass.
+    fn add(&mut self, kind: usize, backward: bool, total: Duration, gelu: Duration) {
+        let ns = if backward {
+            &mut self.backward_ns
+        } else {
+            &mut self.ns
+        };
+        ns[kind] += total.saturating_sub(gelu).as_nanos() as u64;
+        ns[GELU_KIND] += gelu.as_nanos() as u64;
     }
 }
 
-fn rows_of(us: &[u64; OP_KINDS]) -> Vec<(&'static str, u64)> {
+fn rows_of(ns: &[u64; OP_KINDS]) -> Vec<(&'static str, u64)> {
     OP_KIND_NAMES
         .iter()
-        .zip(us)
-        .filter(|&(_, &us)| us > 0)
-        .map(|(&name, &us)| (name, us))
+        .zip(ns)
+        .filter(|&(_, &ns)| ns >= 1000)
+        .map(|(&name, &ns)| (name, ns / 1000))
         .collect()
+}
+
+/// Runs `f`, adding its wall time to `clock` when a profiled run passes
+/// one.
+fn clocked(clock: Option<&mut Duration>, f: impl FnOnce()) {
+    match clock {
+        Some(clock) => {
+            let t0 = Instant::now();
+            f();
+            *clock += t0.elapsed();
+        }
+        None => f(),
+    }
 }
 
 /// Splits `arena` into `N` mutable views over the given ranges.
@@ -139,8 +166,9 @@ impl Plan {
     }
 
     /// As [`Plan::run`], also accumulating per-op wall time into
-    /// `profile`. Timing costs two `Instant` reads per op, so callers
-    /// keep it off the hot path unless observability is on.
+    /// `profile`. Timing costs two `Instant` reads per op (four for a
+    /// GELU linear), so callers keep it off the hot path unless
+    /// observability is on.
     pub fn run_profiled(
         &self,
         inputs: &[Vec<Elem>],
@@ -213,14 +241,10 @@ impl Plan {
         let mut timed = |ops: &[Op], backward: bool, slab: &mut [Elem]| {
             for op in ops {
                 let t0 = profile.as_ref().map(|_| Instant::now());
-                self.step(op, b, kb, slab);
+                let mut gelu = Duration::ZERO;
+                self.step(op, b, kb, slab, t0.map(|_| &mut gelu));
                 if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                    let us = if backward {
-                        &mut p.backward_us
-                    } else {
-                        &mut p.us
-                    };
-                    us[op.kind()] += t0.elapsed().as_micros() as u64;
+                    p.add(op.kind(), backward, t0.elapsed(), gelu);
                 }
             }
         };
@@ -254,7 +278,16 @@ impl Plan {
         )
     }
 
-    fn step(&self, op: &Op, b: usize, kb: Kernels, slab: &mut [Elem]) {
+    /// Runs one op over the slab. A profiled run passes `clock`, which
+    /// receives the time of a GELU linear's bias+GELU pass.
+    fn step(
+        &self,
+        op: &Op,
+        b: usize,
+        kb: Kernels,
+        slab: &mut [Elem],
+        clock: Option<&mut Duration>,
+    ) {
         let cfg = &self.config;
         let (s, d, h, dk) = (cfg.num_params, cfg.d_model, cfg.heads, self.dk);
         match *op {
@@ -382,12 +415,14 @@ impl Plan {
                             ],
                         );
                         matmul_rows(kb, (k, n), (w, wt), &sx[..rows * k], &mut stage[..rows * n]);
-                        kb.bias_gelu_forward(
-                            &stage[..rows * n],
-                            bias,
-                            &mut out[..rows * n],
-                            &mut tc[..rows * n],
-                        );
+                        clocked(clock, || {
+                            kb.bias_gelu_forward(
+                                &stage[..rows * n],
+                                bias,
+                                &mut out[..rows * n],
+                                &mut tc[..rows * n],
+                            )
+                        });
                     }
                 }
             }
@@ -479,8 +514,9 @@ impl Plan {
                 }
             }
             // The fused trailing-axis softmax row kernel: running max,
-            // exponentials (written over `src`), backend-sum denominator
-            // (sequential for tiny rows), divide into `dst`. Inference
+            // exponentials (the backend's `exp_shifted` pass, written over
+            // `src`), backend-sum denominator (sequential for tiny rows),
+            // divide into `dst`. Inference
             // emits `src == dst` — each element is read before it is
             // overwritten at the same index, so running in place
             // reproduces the two-buffer kernel's bits while skipping a
@@ -504,14 +540,12 @@ impl Plan {
                         }
                     }
                     let den = if s > prims::SEQ_EQUIV_MAX {
-                        for v in row.iter_mut() {
-                            *v = (*v - maxv).exp();
-                        }
+                        kb.exp_shifted(row, maxv);
                         kb.sum(row)
                     } else {
                         let mut acc = 0.0;
                         for v in row.iter_mut() {
-                            let e = (*v - maxv).exp();
+                            let e = prims::exp(*v - maxv);
                             *v = e;
                             acc += e;
                         }
@@ -725,7 +759,9 @@ impl Plan {
                     ],
                 );
                 let gz: &[Elem] = if gelu.is_some() {
-                    kb.bias_gelu_backward(&gs[..rows * n], mms, bv, tc, gz);
+                    clocked(clock, || {
+                        kb.bias_gelu_backward(&gs[..rows * n], mms, bv, tc, gz)
+                    });
                     gz
                 } else {
                     &gs[..rows * n]
@@ -1041,6 +1077,11 @@ mod tests {
             assert!(OP_KIND_NAMES.contains(&name));
         }
         assert!(profile.backward_rows().is_empty());
+        // The feed-forward linears' bias+GELU passes are timed apart
+        // from their matmuls.
+        let linear = OP_KIND_NAMES.iter().position(|&n| n == "linear").unwrap();
+        assert!(profile.ns[linear] > 0);
+        assert!(profile.ns[GELU_KIND] > 0);
     }
 
     #[test]

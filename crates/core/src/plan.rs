@@ -136,15 +136,17 @@ impl BufSpec {
     }
 }
 
-/// Number of op kinds: the ten serving kinds, then the two training-only
-/// ones.
-pub const OP_KINDS: usize = 12;
+/// Number of op kinds: the ten serving kinds, the two training-only
+/// ones, then the bias+GELU pass a GELU linear times apart.
+pub const OP_KINDS: usize = 13;
 
 /// Display names for each op kind, indexed by `Op::kind`; the label
 /// vocabulary of the per-op attribution counters
 /// (`serve/plan_op/<name>_us`). Indices 0–9 are the serving kinds and
 /// stay fixed; a backward op is attributed to the kind of the forward
-/// op it differentiates.
+/// op it differentiates. `gelu` ([`GELU_KIND`]) is no op of its own: a
+/// profiled run moves the time of a GELU linear's bias+GELU pass, forward
+/// or backward, out of `linear` into it.
 pub const OP_KIND_NAMES: [&str; OP_KINDS] = [
     "embed",
     "layernorm",
@@ -158,7 +160,11 @@ pub const OP_KIND_NAMES: [&str; OP_KINDS] = [
     "mean_pool",
     "mse",
     "accumulate",
+    "gelu",
 ];
+
+/// Index of `gelu` in [`OP_KIND_NAMES`].
+pub const GELU_KIND: usize = 12;
 
 /// One op of the IR. Shapes and strides come from the plan's compiled
 /// geometry; buffers are arena ranges, weights offsets into the plan's

@@ -47,11 +47,15 @@
 //! `|Δ| ≤ (n/8 + 3) · ε · Σ|terms|` — asserted per-op by the
 //! cross-backend tolerance suite in `crates/nn/tests/backend.rs` and
 //! reported in EXPERIMENTS.md. NaNs propagate identically (every input
-//! element still enters exactly one accumulator).
+//! element still enters exactly one accumulator). The elementwise passes
+//! (`exp_shifted`, the GELU passes) run the owned `exp` and `tanh`
+//! (`tensor/math.rs`), so their bits are the same on both backends, both
+//! SIMD instantiations and every host.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use super::math;
 use crate::Elem;
 
 /// Lanes in the SIMD backend's virtual vector: 8 × f64 (two AVX2
@@ -92,10 +96,11 @@ impl BackendKind {
 /// The primitive kernels every dense op routes through.
 ///
 /// Order-sensitive reductions (`dot*`, `sum*`) define each backend's
-/// numeric identity. The remaining methods (`axpy`, `fold_rows`, the GELU
-/// passes) are elementwise or independent-accumulator loops whose bits
-/// cannot depend on vectorization — they are on the trait so the SIMD
-/// implementations compile under the widest available instruction set.
+/// numeric identity. The remaining methods (`axpy`, `fold_rows`, the
+/// softmax exponentials, the GELU passes) are elementwise or
+/// independent-accumulator loops whose bits cannot depend on
+/// vectorization — they are on the trait so the SIMD implementations
+/// compile under the widest available instruction set.
 pub(crate) trait Backend: Sync {
     /// `dot(a, b) = Σ a[i]·b[i]` over `min` of the lengths (callers pass
     /// equal-length rows).
@@ -126,6 +131,11 @@ pub(crate) trait Backend: Sync {
 
     /// `Σ (a[i] − b[i])²`, difference and square each rounded once.
     fn sum_sq_diff(&self, a: &[Elem], b: &[Elem]) -> Elem;
+
+    /// `xs[i] = exp(xs[i] − shift)` in place — a softmax row's
+    /// exponentials, difference rounded once, then [`math::exp`].
+    /// Elementwise — bit-identical across backends.
+    fn exp_shifted(&self, xs: &mut [Elem], shift: Elem);
 
     /// Fused `gelu(x + bias)` forward: writes the activation to `out` and
     /// the inner `tanh` values to `tanh_cache` (both length `sx.len()`,
@@ -240,6 +250,12 @@ impl Backend for ScalarBackend {
         s
     }
 
+    fn exp_shifted(&self, xs: &mut [Elem], shift: Elem) {
+        for v in xs.iter_mut() {
+            *v = math::exp(*v - shift);
+        }
+    }
+
     fn bias_gelu_forward(&self, sx: &[Elem], sb: &[Elem], out: &mut [Elem], tanh: &mut [Elem]) {
         // The historical single loop, expression tree per element exactly
         // as `Tensor::gelu`'s op-by-op composition.
@@ -251,7 +267,7 @@ impl Backend for ScalarBackend {
             let pm = p * 0.044715;
             let i1 = s + pm;
             let i2 = i1 * c;
-            let t = i2.tanh();
+            let t = math::tanh(i2);
             tanh[i] = t;
             let t1 = t + 1.0;
             let m = s * t1;
@@ -291,7 +307,7 @@ impl Backend for ScalarBackend {
 /// different target features; because no operation is ever contracted to an
 /// FMA, both instantiations produce identical bits.
 mod kernels {
-    use super::{Elem, SEQ_EQUIV_MAX, SIMD_LANES as W};
+    use super::{math, Elem, SEQ_EQUIV_MAX, SIMD_LANES as W};
 
     /// Fixed combine tree for the 8 partial accumulators:
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -515,34 +531,33 @@ mod kernels {
         hadd(acc)
     }
 
-    /// Pass-split GELU forward: the polynomial passes are row-tiled
-    /// (vectorizable), the libm `tanh` stays a scalar pass in between.
-    /// Expression tree per element is identical to the scalar backend's
-    /// single loop, so the bits agree exactly.
+    #[inline(always)]
+    pub(super) fn exp_shifted(xs: &mut [Elem], shift: Elem) {
+        for v in xs.iter_mut() {
+            *v = math::exp(*v - shift);
+        }
+    }
+
+    /// Row-tiled GELU forward (the bias broadcasts along each row, so
+    /// the inner loop vectorizes, [`math::tanh`] included). Expression
+    /// tree per element is identical to the scalar backend's loop, so the
+    /// bits agree exactly.
     #[inline(always)]
     pub(super) fn bias_gelu_forward(sx: &[Elem], sb: &[Elem], out: &mut [Elem], tanh: &mut [Elem]) {
         let nb = sb.len();
         let c = (2.0 / std::f64::consts::PI).sqrt();
-        for (row_x, row_t) in sx.chunks_exact(nb).zip(tanh.chunks_exact_mut(nb)) {
-            for ((&x, &b), t) in row_x.iter().zip(sb).zip(row_t.iter_mut()) {
+        for ((row_x, row_t), row_o) in sx
+            .chunks_exact(nb)
+            .zip(tanh.chunks_exact_mut(nb))
+            .zip(out.chunks_exact_mut(nb))
+        {
+            for (((&x, &b), t), o) in row_x.iter().zip(sb).zip(row_t).zip(row_o) {
                 let s = x + b;
                 let p = (s * s) * s;
                 let pm = p * 0.044715;
                 let i1 = s + pm;
-                *t = i1 * c;
-            }
-        }
-        for t in tanh.iter_mut() {
-            *t = t.tanh();
-        }
-        for ((row_x, row_t), row_o) in sx
-            .chunks_exact(nb)
-            .zip(tanh.chunks_exact(nb))
-            .zip(out.chunks_exact_mut(nb))
-        {
-            for (((&x, &b), &t), o) in row_x.iter().zip(sb).zip(row_t).zip(row_o.iter_mut()) {
-                let s = x + b;
-                let t1 = t + 1.0;
+                *t = math::tanh(i1 * c);
+                let t1 = *t + 1.0;
                 let m = s * t1;
                 *o = m * 0.5;
             }
@@ -610,6 +625,9 @@ mod portable {
     pub(super) fn sum_sq_diff(a: &[Elem], b: &[Elem]) -> Elem {
         super::kernels::sum_sq_diff(a, b)
     }
+    pub(super) fn exp_shifted(xs: &mut [Elem], shift: Elem) {
+        super::kernels::exp_shifted(xs, shift)
+    }
     pub(super) fn bias_gelu_forward(sx: &[Elem], sb: &[Elem], out: &mut [Elem], tanh: &mut [Elem]) {
         super::kernels::bias_gelu_forward(sx, sb, out, tanh)
     }
@@ -659,6 +677,10 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn sum_sq_diff(a: &[Elem], b: &[Elem]) -> Elem {
         super::kernels::sum_sq_diff(a, b)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn exp_shifted(xs: &mut [Elem], shift: Elem) {
+        super::kernels::exp_shifted(xs, shift)
     }
     #[target_feature(enable = "avx2")]
     pub(super) fn bias_gelu_forward(sx: &[Elem], sb: &[Elem], out: &mut [Elem], tanh: &mut [Elem]) {
@@ -736,6 +758,9 @@ impl Backend for SimdBackend {
     }
     fn sum_sq_diff(&self, a: &[Elem], b: &[Elem]) -> Elem {
         simd_dispatch!(self, a.len(), sum_sq_diff(a, b))
+    }
+    fn exp_shifted(&self, xs: &mut [Elem], shift: Elem) {
+        simd_dispatch!(self, xs.len(), exp_shifted(xs, shift))
     }
     fn bias_gelu_forward(&self, sx: &[Elem], sb: &[Elem], out: &mut [Elem], tanh: &mut [Elem]) {
         simd_dispatch!(self, sx.len(), bias_gelu_forward(sx, sb, out, tanh))
@@ -872,6 +897,10 @@ impl ActiveBackend {
     #[inline(always)]
     pub(crate) fn sum_sq_diff(self, a: &[Elem], b: &[Elem]) -> Elem {
         active_dispatch!(self.sum_sq_diff(a, b))
+    }
+    #[inline(always)]
+    pub(crate) fn exp_shifted(self, xs: &mut [Elem], shift: Elem) {
+        active_dispatch!(self.exp_shifted(xs, shift))
     }
     #[inline(always)]
     pub(crate) fn bias_gelu_forward(
@@ -1030,6 +1059,96 @@ mod tests {
             wide.dot_block(&a[..19], &b[..76], 19, &mut o2);
             for (x, y) in o1.iter().zip(&o2) {
                 assert_eq!(x.to_bits(), y.to_bits());
+            }
+            // The elementwise transcendental passes, on sweep inputs long
+            // enough for the AVX2 path.
+            for xs in sweeps() {
+                assert_eq!(bits(&exp_pass(&portable, &xs)), bits(&exp_pass(&wide, &xs)));
+                assert_eq!(gelu_pass(&portable, &xs), gelu_pass(&wide, &xs));
+            }
+        }
+    }
+
+    /// Sweep inputs for the elementwise passes: the softmax domain, the
+    /// GELU pre-activation range, and poison (±0, ±∞, NaN, subnormals,
+    /// overflow and underflow arguments). Every length clears
+    /// `AVX2_MIN_LEN` and leaves a remainder.
+    fn sweeps() -> Vec<Vec<Elem>> {
+        let lin = |lo: Elem, hi: Elem, n: usize| -> Vec<Elem> {
+            (0..n)
+                .map(|i| lo + (hi - lo) * (i as Elem / (n - 1) as Elem))
+                .collect()
+        };
+        let poison = vec![
+            0.0,
+            -0.0,
+            Elem::INFINITY,
+            Elem::NEG_INFINITY,
+            Elem::NAN,
+            Elem::from_bits(1),
+            -Elem::from_bits(1),
+            Elem::MIN_POSITIVE,
+            709.78,
+            709.79,
+            -745.13,
+            -745.14,
+            -800.0,
+            800.0,
+            0.75,
+            -0.75,
+            1e-200,
+            -3.0,
+        ];
+        vec![lin(-50.0, 0.0, 1001), lin(-12.0, 12.0, 1003), poison]
+    }
+
+    /// Result bits, every NaN as one class (payloads are not pinned).
+    fn bits(xs: &[Elem]) -> Vec<u64> {
+        xs.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// `exp(x − 0.5)` over `xs` through the backend's `exp_shifted`.
+    fn exp_pass(be: &dyn Backend, xs: &[Elem]) -> Vec<Elem> {
+        let mut out = xs.to_vec();
+        be.exp_shifted(&mut out, 0.5);
+        out
+    }
+
+    /// Bits of the fused bias+GELU outputs and cached `tanh` values, bias
+    /// broadcast over rows of `xs.len()` (one row).
+    fn gelu_pass(be: &dyn Backend, xs: &[Elem]) -> (Vec<u64>, Vec<u64>) {
+        let bias: Vec<Elem> = (0..xs.len()).map(|i| (i % 7) as Elem * 0.125).collect();
+        let mut out = vec![0.0; xs.len()];
+        let mut tanh = vec![0.0; xs.len()];
+        be.bias_gelu_forward(xs, &bias, &mut out, &mut tanh);
+        (bits(&out), bits(&tanh))
+    }
+
+    /// Only the reductions may tell the backends apart: every backend and
+    /// instantiation returns the same `exp` and `tanh` bits elementwise,
+    /// and those are [`math::exp`] and [`math::tanh`].
+    #[test]
+    fn elementwise_transcendentals_are_identical_across_backends() {
+        let backends: Vec<SimdBackend> = {
+            #[cfg(target_arch = "x86_64")]
+            let wide = avx2_available();
+            #[cfg(not(target_arch = "x86_64"))]
+            let wide = false;
+            let mut v = vec![SimdBackend { avx2: false }];
+            if wide {
+                v.push(SimdBackend { avx2: true });
+            }
+            v
+        };
+        for xs in sweeps() {
+            let want_exp = bits(&xs.iter().map(|&x| math::exp(x - 0.5)).collect::<Vec<_>>());
+            assert_eq!(bits(&exp_pass(&ScalarBackend, &xs)), want_exp);
+            let scalar_gelu = gelu_pass(&ScalarBackend, &xs);
+            for simd in &backends {
+                assert_eq!(bits(&exp_pass(simd, &xs)), want_exp);
+                assert_eq!(gelu_pass(simd, &xs), scalar_gelu);
             }
         }
     }

@@ -18,7 +18,9 @@
 //! 1. the fused forward loops replicate the composite's per-element
 //!    floating-point expression trees in the same order (Rust never
 //!    contracts `a * b + c` into an FMA, so `h * gamma + beta` in a loop is
-//!    the same two rounding steps as separate `mul`/`add` nodes), and
+//!    the same two rounding steps as separate `mul`/`add` nodes) and call
+//!    the same owned `exp` and `tanh` (`tensor/math.rs`) the tensor ops
+//!    do, and
 //! 2. the fused backward emits exactly the tensor-op sequence the autograd
 //!    engine would have produced for the composite, including the left-
 //!    associated accumulation order of reused parents; when gradients are
@@ -40,6 +42,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use super::backend;
+use super::math;
 use super::ops::{axis_blocks, is_suffix_shape, pow_elem};
 use super::pool;
 use crate::autograd;
@@ -113,9 +116,9 @@ impl Activation {
             Activation::Sigmoid => {
                 // Same stable two-branch form as `Tensor::sigmoid`.
                 if s >= 0.0 {
-                    1.0 / (1.0 + (-s).exp())
+                    1.0 / (1.0 + math::exp(-s))
                 } else {
-                    let e = s.exp();
+                    let e = math::exp(s);
                     e / (1.0 + e)
                 }
             }
@@ -127,7 +130,7 @@ impl Activation {
                 let pm = p * 0.044715;
                 let i1 = s + pm;
                 let i2 = i1 * c;
-                let t = i2.tanh();
+                let t = math::tanh(i2);
                 let t1 = t + 1.0;
                 let m = s * t1;
                 m * 0.5
@@ -170,23 +173,23 @@ impl Tensor {
         let mut out = pool::take_zeroed(n);
         // The backward needs the raw exponentials and lane denominators;
         // keeping the forward's values (instead of recomputing them from
-        // `x`) changes no bits and skips a libm `exp` per element.
+        // `x`) changes no bits and skips an `exp` per element.
         let mut exp_cache: Vec<Elem> = Vec::with_capacity(n);
         let mut denom: Vec<Elem> = vec![0.0; lanes];
         if inner == 1 && dim > backend::SEQ_EQUIV_MAX {
             // Trailing-axis softmax (the attention pattern): each lane's
-            // exponentials are a contiguous row, so the denominator is one
-            // backend `sum` — the same reduction the composite's `sum_to`
-            // fast path performs on the materialized exponentials. Rows of
-            // at most `SEQ_EQUIV_MAX` elements skip this: there the chunked
-            // sum degenerates to the sequential accumulation the plain loop
+            // exponentials are a contiguous row, computed by the backend's
+            // `exp_shifted` pass, so the denominator is one backend `sum`
+            // — the same reduction the composite's `sum_to` fast path
+            // performs on the materialized exponentials. Rows of at most
+            // `SEQ_EQUIV_MAX` elements skip this: there the chunked sum
+            // degenerates to the sequential accumulation the plain loop
             // below already performs, with identical bits on every backend.
             let be = backend::active();
             for o in 0..outer {
                 let row = &mut out[o * dim..(o + 1) * dim];
-                for (d, slot) in row.iter_mut().enumerate() {
-                    *slot = (src[o * dim + d] - maxv[o]).exp();
-                }
+                row.copy_from_slice(&src[o * dim..(o + 1) * dim]);
+                be.exp_shifted(row, maxv[o]);
                 denom[o] = be.sum(row);
             }
         } else {
@@ -195,7 +198,7 @@ impl Tensor {
                     for i in 0..inner {
                         let idx = (o * dim + d) * inner + i;
                         let lane = o * inner + i;
-                        let e = (src[idx] - maxv[lane]).exp();
+                        let e = math::exp(src[idx] - maxv[lane]);
                         out[idx] = e;
                         denom[lane] += e;
                     }
@@ -398,7 +401,7 @@ impl Tensor {
         let mut out = pool::take(sx.len());
         // GELU keeps its per-element tanh for the backward (the composite's
         // tanh node does the same through its stored output, so reusing it
-        // here changes no bits — it just skips the libm recompute).
+        // here changes no bits — it just skips the recompute).
         let mut tanh_cache: Vec<Elem> = Vec::new();
         if matches!(act, Activation::Gelu) {
             let n = sx.len();

@@ -12,6 +12,7 @@ pub mod prims;
 pub mod shape;
 
 mod composite;
+mod math;
 mod matmul;
 mod operators;
 mod ops;

@@ -7,6 +7,7 @@
 use std::rc::Rc;
 
 use crate::tensor::backend;
+use crate::tensor::math;
 use crate::tensor::pool::{self, Buf};
 use crate::tensor::shape::{
     broadcast_shapes, broadcast_strides, broadcastable_to, contiguous_strides, numel, OffsetWalker,
@@ -243,10 +244,10 @@ impl Tensor {
         unary(self, |x| -x, backward)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential (the owned [`crate::prims::exp`]).
     pub fn exp(&self) -> Tensor {
         let backward: BackwardFn = Rc::new(|g, _ps, out| vec![Some(g.mul(out))]);
-        unary(self, Elem::exp, backward)
+        unary(self, math::exp, backward)
     }
 
     /// Elementwise natural logarithm.
@@ -263,13 +264,13 @@ impl Tensor {
         unary(self, Elem::sqrt, backward)
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent (the owned [`crate::prims::tanh`]).
     pub fn tanh(&self) -> Tensor {
         let backward: BackwardFn = Rc::new(|g, _ps, out| {
             let one_minus_sq = out.mul(out).neg().add_scalar(1.0);
             vec![Some(g.mul(&one_minus_sq))]
         });
-        unary(self, Elem::tanh, backward)
+        unary(self, math::tanh, backward)
     }
 
     /// Elementwise logistic sigmoid, computed in a numerically stable way.
@@ -282,9 +283,9 @@ impl Tensor {
             self,
             |x| {
                 if x >= 0.0 {
-                    1.0 / (1.0 + (-x).exp())
+                    1.0 / (1.0 + math::exp(-x))
                 } else {
-                    let e = x.exp();
+                    let e = math::exp(x);
                     e / (1.0 + e)
                 }
             },

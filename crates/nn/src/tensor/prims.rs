@@ -18,7 +18,9 @@
 //! ([`matmul_backward`], [`matmul_nt_backward`], [`softmax_backward`],
 //! [`layernorm_backward`], [`sq_err_mean_backward`],
 //! [`Kernels::bias_gelu_backward`]): one implementation per gradient, so
-//! a compiled backward lands on the graph's bits by construction.
+//! a compiled backward lands on the graph's bits by construction. The
+//! owned [`exp`] and [`tanh`] every elementwise kernel runs are
+//! re-exported here too.
 
 use super::backend::{self, ActiveBackend};
 use crate::Elem;
@@ -34,6 +36,11 @@ pub const SPARSE_ZERO_FRACTION: f64 = super::matmul::SPARSE_ZERO_FRACTION;
 /// reductions degenerate to sequential accumulation (re-exported from
 /// [`backend::SEQ_EQUIV_MAX`]).
 pub use super::backend::SEQ_EQUIV_MAX;
+
+/// The one `exp` and `tanh` of every tensor kernel, plan and step:
+/// portable, branch-free, no FMA, the same bits on every backend and
+/// host.
+pub use super::math::{exp, tanh};
 
 /// The calling thread's resolved kernel set.
 ///
@@ -84,6 +91,13 @@ impl Kernels {
     #[inline(always)]
     pub fn sum_sq(self, xs: &[Elem]) -> Elem {
         self.be.sum_sq(xs)
+    }
+
+    /// `xs[i] = exp(xs[i] − shift)` in place: a softmax row's
+    /// exponentials, vectorized by the SIMD backend.
+    #[inline(always)]
+    pub fn exp_shifted(self, xs: &mut [Elem], shift: Elem) {
+        self.be.exp_shifted(xs, shift)
     }
 
     /// Folds `src`'s rows (row length `out.len()`) into `out` by

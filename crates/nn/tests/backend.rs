@@ -2,12 +2,16 @@
 //!
 //! Three layers of guarantees, mirroring DESIGN.md §3.6:
 //!
-//! 1. **Pinned digests** — each backend's exact bit patterns over a
-//!    libm-free op battery are pinned to a literal FNV-1a digest, so an
+//! 1. **Pinned digests** — each backend's exact bit patterns over two
+//!    op batteries are pinned to literal FNV-1a digests, so an
 //!    unintended numerics change in *either* backend fails loudly. The
-//!    battery deliberately excludes `exp`/`tanh`-based ops (their libm
-//!    implementations vary across platforms); `sqrt` and division are
-//!    IEEE-754 correctly rounded and therefore portable.
+//!    first battery uses only IEEE-754 correctly rounded operations
+//!    (matmuls, layernorm with its `sqrt`, reductions, ReLU); its pins
+//!    predate the owned transcendentals and prove no other kernel moved
+//!    with them. The second covers the `exp`/`tanh` ops — softmax,
+//!    GELU, sigmoid, `Tensor::exp`/`tanh` — which run the repository's
+//!    own branch-free `exp` and `tanh` (`metadse_nn::prims`), the same
+//!    bits on every host and C library.
 //! 2. **Cross-backend tolerance** — SIMD reduces in 8-lane chunks, so
 //!    its sums reassociate relative to the scalar backend. Every
 //!    reduction is bounded by the standard recursive-summation error
@@ -130,8 +134,8 @@ fn battery_digest() -> String {
     d.eat(&loss);
     d.eat(&gs[0]);
 
-    // bias_add_activation with ReLU (max is exact; GELU's tanh is
-    // covered by the tolerance suite instead).
+    // bias_add_activation with ReLU (max is exact; GELU and sigmoid are
+    // in the transcendental battery).
     let x = lcg_param(&[3, 5], &mut seed);
     let bias = lcg_param(&[5], &mut seed);
     let y = x.bias_add_activation(&bias, Activation::Relu);
@@ -140,6 +144,65 @@ fn battery_digest() -> String {
     d.eat(&y);
     d.eat(&gs[0]);
     d.eat(&gs[1]);
+
+    d.hex()
+}
+
+/// Runs the `exp`/`tanh` op battery under the active backend and
+/// digests every forward value and first-order gradient. Softmax rows of
+/// 3 take the sequential path, rows of 11 and 21 the backend's
+/// `exp_shifted` pass (21 is the AVX2 path); the inputs reach the
+/// saturated tails of `tanh` and sigmoid and `exp`'s underflow.
+fn transcendental_battery_digest() -> String {
+    let mut d = Digest::new();
+    let mut seed = 0x7a4c_e11e;
+
+    // softmax_fused along the trailing axis and a leading axis, inputs
+    // scaled so some exponentials underflow toward zero.
+    for (shape, axis, scale) in [
+        (&[4, 3][..], 1, 4.0),
+        (&[3, 11][..], 1, 30.0),
+        (&[2, 21][..], 1, 8.0),
+        (&[5, 4][..], 0, 6.0),
+    ] {
+        let n = shape.iter().product();
+        let x = Tensor::param_from_vec(
+            lcg_vec(n, &mut seed).iter().map(|v| v * scale).collect(),
+            shape,
+        );
+        let y = x.softmax_fused(axis);
+        let loss = y.mul(&y).sum_all();
+        let gs = grad(&loss, std::slice::from_ref(&x), false);
+        d.eat(&y);
+        d.eat(&gs[0]);
+    }
+
+    // bias_add_activation with GELU and sigmoid over rows of 21.
+    for act in [Activation::Gelu, Activation::Sigmoid] {
+        let x = Tensor::param_from_vec(
+            lcg_vec(3 * 21, &mut seed).iter().map(|v| v * 9.0).collect(),
+            &[3, 21],
+        );
+        let bias = lcg_param(&[21], &mut seed);
+        let y = x.bias_add_activation(&bias, act);
+        let loss = y.mul(&y).sum_all();
+        let gs = grad(&loss, &[x, bias], false);
+        d.eat(&y);
+        d.eat(&gs[0]);
+        d.eat(&gs[1]);
+    }
+
+    // The elementwise tensor ops.
+    let x = Tensor::param_from_vec(
+        lcg_vec(40, &mut seed).iter().map(|v| v * 12.0).collect(),
+        &[40],
+    );
+    for y in [x.exp(), x.tanh(), x.sigmoid()] {
+        let loss = y.mul(&y).sum_all();
+        let gs = grad(&loss, std::slice::from_ref(&x), false);
+        d.eat(&y);
+        d.eat(&gs[0]);
+    }
 
     d.hex()
 }
@@ -169,6 +232,30 @@ fn simd_backend_digest_is_pinned() {
         "f1b1f1d7e3701f7f",
         "SIMD backend numerics changed — update the pin only for an \
          intentional kernel change, and re-record the .simd run digests"
+    );
+}
+
+/// The transcendental battery's pin under the scalar backend.
+#[test]
+fn scalar_transcendental_digest_is_pinned() {
+    let _g = BackendModeGuard::set(BackendKind::Scalar);
+    assert_eq!(
+        transcendental_battery_digest(),
+        "6e7bfa0974827416",
+        "scalar exp/tanh numerics changed"
+    );
+}
+
+/// The transcendental battery's pin under the SIMD backend. It differs
+/// from the scalar pin only through the reductions (softmax denominators,
+/// gradient sums): the elementwise `exp`/`tanh` bits are the same.
+#[test]
+fn simd_transcendental_digest_is_pinned() {
+    let _g = BackendModeGuard::set(BackendKind::Simd);
+    assert_eq!(
+        transcendental_battery_digest(),
+        "23da86e4741c9e28",
+        "SIMD exp/tanh numerics changed"
     );
 }
 
@@ -231,10 +318,11 @@ fn matmul_cross_backend_error_is_bounded() {
     }
 }
 
-/// The libm-bearing fused ops (softmax's exp, GELU's tanh) call the
-/// *same* scalar libm functions in both backends — only the surrounding
-/// reductions differ — so their cross-backend error obeys the same
-/// reduction bound scaled by the row magnitude.
+/// The fused ops built on `exp` and `tanh` (softmax, GELU) compute the
+/// same elementwise bits in both backends — one owned `exp` and `tanh`,
+/// and the backend unit tests assert their passes agree bitwise — so
+/// only the surrounding reductions differ, and the cross-backend error
+/// obeys the reduction bound scaled by the row magnitude.
 #[test]
 fn fused_ops_cross_backend_error_is_bounded() {
     let mut seed = 99;

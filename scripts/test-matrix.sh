@@ -14,6 +14,15 @@
 # loop here: the suites run every pool × fused combination in-process
 # through PoolModeGuard / FusedModeGuard.
 #
+# A last pass proves the digests do not depend on the host's C library.
+# glibc picks FMA or SSE2 variants of its libm functions by CPU; with the
+# FMA variants disabled (GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA) the
+# digest-recording suites run again under each backend, and the
+# literal-pinned nn batteries and the exp/tanh error bounds once, and
+# must reproduce every digest the first runs recorded. Softmax and GELU
+# run the repository's own exp and tanh, so no forward or backward pass
+# calls libm (DESIGN.md §3.6 lists the libm calls that remain).
+#
 # Usage: scripts/test-matrix.sh [extra cargo test args…]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +33,15 @@ export METADSE_DIGEST_FILE="$digest_file"
 for backend in scalar simd; do
   echo "=== METADSE_BACKEND=$backend ==="
   METADSE_BACKEND=$backend cargo test -q -p metadse-nn -p metadse "$@"
+done
+
+echo "=== GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA ==="
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA \
+  cargo test -q -p metadse-nn --test backend --test transcendental "$@"
+for backend in scalar simd; do
+  echo "=== METADSE_BACKEND=$backend GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA ==="
+  GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA METADSE_BACKEND=$backend \
+    cargo test -q -p metadse --test determinism --test plan --test checkpoint "$@"
 done
 
 echo "pretrain digest $(cat "$digest_file") (scalar), $(cat "$digest_file.simd") (simd)"
