@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use metadse::experiment::{pretrain_metadse, Environment, Scale};
 use metadse::maml::MamlConfig;
-use metadse::plan::{PlanProfile, OP_KINDS, OP_KIND_NAMES};
+use metadse::plan::{Plan, PlanArena, PlanProfile, OP_KINDS, OP_KIND_NAMES};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::wam::{self, AdaptConfig};
 use metadse::ServablePredictor;
@@ -38,10 +38,9 @@ use metadse_workloads::{Dataset, Metric, SpecWorkload, Task, TaskSampler, Worklo
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Twenty profiled steps of a compiled WAM adaptation: 10 shots at the
-/// default geometry, a learnable mask installed, the adaptation's SGD
-/// update between steps. Returns the summed profile and the step count.
-fn profile_adaptation_steps() -> (PlanProfile, usize) {
+/// The default geometry with a learnable mask installed, and `n` input
+/// rows with their labels.
+fn profiled_model(n: usize) -> (TransformerPredictor, Vec<Vec<f64>>, Vec<f64>) {
     let config = PredictorConfig::default();
     let s = config.num_params;
     let model = TransformerPredictor::new(config, 7);
@@ -49,23 +48,80 @@ fn profile_adaptation_steps() -> (PlanProfile, usize) {
         "wam.mask",
         Tensor::param_from_vec(vec![-0.5; s * s], &[s, s]),
     ));
-    let x: Vec<Vec<f64>> = (0..10)
+    let x: Vec<Vec<f64>> = (0..n)
         .map(|i| {
             (0..s)
                 .map(|j| ((i * s + j) as f64 * 0.37).sin().abs())
                 .collect()
         })
         .collect();
-    let y: Vec<f64> = (0..10).map(|i| (i as f64 * 0.3).cos()).collect();
+    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+    (model, x, y)
+}
+
+/// `runs` profiled compiled steps on `n` rows at the default geometry
+/// with a learnable mask; `descend` applies an SGD update between them,
+/// as a WAM adaptation does. Returns the summed profile.
+fn profile_steps(n: usize, runs: usize, descend: bool) -> PlanProfile {
+    let (model, x, y) = profiled_model(n);
     let mut step = Step::compile(&model, x.len());
     let rates = vec![0.02; step.param_ranges().count()];
     let mut profile = PlanProfile::default();
-    let steps = AdaptConfig::default().steps;
-    for _ in 0..steps {
+    for _ in 0..runs {
         black_box(step.loss_and_grad_profiled(&x, &y, &mut profile));
-        step.descend(&rates);
+        if descend {
+            step.descend(&rates);
+        }
     }
-    (profile, steps)
+    profile
+}
+
+/// `runs` profiled forwards of a compiled plan over a batch of `b` rows.
+fn profile_forwards(b: usize, runs: usize) -> PlanProfile {
+    let (model, x, _) = profiled_model(b);
+    let plan = Plan::from_model(&model, b);
+    let mut arena = PlanArena::new();
+    let mut profile = PlanProfile::default();
+    for _ in 0..runs {
+        black_box(plan.run_profiled(&x, &mut arena, &mut profile));
+    }
+    profile
+}
+
+/// Prints `profile` (summed over `runs`) as a per-op-kind table, heaviest
+/// first, and returns its forward and backward time per run.
+fn profile_table(profile: &PlanProfile, runs: usize) -> (u128, u128) {
+    let per_run = |ns: u64| human_ns(u128::from(ns) / runs as u128);
+    let forward: u64 = profile.ns.iter().sum();
+    let backward: u64 = profile.backward_ns.iter().sum();
+    let mut rows = vec![vec![
+        "op kind".to_string(),
+        "forward/run".to_string(),
+        "backward/run".to_string(),
+        "share".to_string(),
+    ]];
+    let mut order: Vec<usize> = (0..OP_KINDS).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(profile.ns[i] + profile.backward_ns[i]));
+    for i in order {
+        let (f, b) = (profile.ns[i], profile.backward_ns[i]);
+        if f + b == 0 {
+            continue;
+        }
+        rows.push(vec![
+            OP_KIND_NAMES[i].to_string(),
+            per_run(f),
+            per_run(b),
+            format!(
+                "{:.1}%",
+                100.0 * (f + b) as f64 / (forward + backward).max(1) as f64
+            ),
+        ]);
+    }
+    report::table(&rows);
+    (
+        u128::from(forward) / runs as u128,
+        u128::from(backward) / runs as u128,
+    )
 }
 
 /// A four-workload split small enough to trace in seconds.
@@ -260,35 +316,10 @@ fn main() {
         metadse_parallel::available_parallelism(),
     ));
 
-    // --- Compiled training step --------------------------------------------
+    // --- Compiled training steps and plan forward ---------------------------
     report::section("compiled 10-shot step: per-op forward and backward");
-    let (profile, steps) = profile_adaptation_steps();
-    let forward: u64 = profile.ns.iter().sum();
-    let backward: u64 = profile.backward_ns.iter().sum();
-    let mut step_rows = vec![vec![
-        "op kind".to_string(),
-        "forward/step".to_string(),
-        "backward/step".to_string(),
-        "share".to_string(),
-    ]];
-    let mut order: Vec<usize> = (0..OP_KINDS).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(profile.ns[i] + profile.backward_ns[i]));
-    for i in order {
-        let (f, b) = (profile.ns[i], profile.backward_ns[i]);
-        if f + b == 0 {
-            continue;
-        }
-        step_rows.push(vec![
-            OP_KIND_NAMES[i].to_string(),
-            human_ns(u128::from(f) / steps as u128),
-            human_ns(u128::from(b) / steps as u128),
-            format!(
-                "{:.1}%",
-                100.0 * (f + b) as f64 / (forward + backward).max(1) as f64
-            ),
-        ]);
-    }
-    report::table(&step_rows);
+    let steps = AdaptConfig::default().steps;
+    let (forward, backward) = profile_table(&profile_steps(10, steps, true), steps);
     report::line(format!(
         "attribution: {steps} compiled first-order steps (a WAM adaptation) on \
          10 shots at the default geometry with a learnable mask: {} forward \
@@ -297,8 +328,25 @@ fn main() {
          `linear` row). Adaptation and meta-training run this op list; \
          the `Rc` graph only serves second-order MAML and the test \
          oracles.",
-        human_ns(u128::from(forward) / steps as u128),
-        human_ns(u128::from(backward) / steps as u128),
+        human_ns(forward),
+        human_ns(backward),
+    ));
+    report::section("compiled 45-row meta-gradient step: per-op forward and backward");
+    let runs = 10;
+    let (forward, backward) = profile_table(&profile_steps(45, runs, false), runs);
+    report::line(format!(
+        "attribution: {runs} compiled steps on 45 rows (a meta-batch member's \
+         query loss and its first-order meta-gradient) at the default \
+         geometry with a learnable mask: {} forward and {} backward per step.",
+        human_ns(forward),
+        human_ns(backward),
+    ));
+    report::section("compiled b = 64 plan forward: per-op");
+    let (forward, _) = profile_table(&profile_forwards(64, runs), runs);
+    report::line(format!(
+        "attribution: {runs} forwards of an inference plan over 64 rows at \
+         the default geometry with a learnable mask: {} per forward.",
+        human_ns(forward),
     ));
 
     // --- Serve pipeline attribution ---------------------------------------

@@ -9,6 +9,11 @@
 //! once per pass so thread-local backend overrides behave exactly like a
 //! graph forward) and reproduces the tensor ops' accumulation orders
 //! bit-for-bit; see the module docs in [`crate::plan`] for the contract.
+//! The four attention ops make one block-kernel call per `(b, h)`
+//! ([`Kernels::attn_scores`] and its siblings): each head is read in
+//! place from the `[b, s, h·dk]` projections at column `h·dk` and row
+//! stride `d_model`, and the context and the `q`, `k`, `v` gradients are
+//! written there too, so no op splits or merges heads.
 //!
 //! The only `unsafe` here is `views_mut`, which splits one arena slab
 //! into the disjoint per-op views the borrow checker cannot prove
@@ -20,7 +25,7 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use metadse_nn::prims::{self, Kernels, SPARSE_ZERO_FRACTION};
+use metadse_nn::prims::{self, AttnGeom, Kernels};
 use metadse_nn::tensor::pool::Buf;
 use metadse_nn::Elem;
 
@@ -290,6 +295,11 @@ impl Plan {
     ) {
         let cfg = &self.config;
         let (s, d, h, dk) = (cfg.num_params, cfg.d_model, cfg.heads, self.dk);
+        let geom = AttnGeom {
+            seq: s,
+            dk,
+            stride: d,
+        };
         match *op {
             // out[bi,s,:] = table[s,:] + x[bi,s] * dir[s,:] — the token
             // identity embedding plus the value-direction encoding
@@ -426,91 +436,19 @@ impl Plan {
                     }
                 }
             }
-            // [b, s, h·dk] → [b, h, s, dk]: the reshape+transpose(1,2)
-            // head split as one strided copy (no arithmetic).
-            Op::SplitHeads { src, dst } => {
-                let [sx, out] = views_mut(slab, [self.range(src, b), self.range(dst, b)]);
-                for bi in 0..b {
-                    for hi in 0..h {
-                        for si in 0..s {
-                            let from = (bi * s + si) * d + hi * dk;
-                            let to = ((bi * h + hi) * s + si) * dk;
-                            out[to..to + dk].copy_from_slice(&sx[from..from + dk]);
-                        }
-                    }
-                }
-            }
-            // Inverse strided copy: [b, h, s, dk] → [b, s, h·dk].
-            Op::MergeHeads { src, dst } => {
-                let [sx, out] = views_mut(slab, [self.range(src, b), self.range(dst, b)]);
-                for bi in 0..b {
-                    for hi in 0..h {
-                        for si in 0..s {
-                            let from = ((bi * h + hi) * s + si) * dk;
-                            let to = (bi * s + si) * d + hi * dk;
-                            out[to..to + dk].copy_from_slice(&sx[from..from + dk]);
-                        }
-                    }
-                }
-            }
-            // Per (b, h) block: q · kᵀ via the matmul_nt kernel's
-            // per-block sparse/dense choice, then the scale (and
-            // additive mask) folded in per element.
+            // One block kernel call per (b, h): q · kᵀ with the matmul_nt
+            // kernel's per-block sparse/dense choice, then the scale (and
+            // additive mask) per element. `q` and `k` are read in place
+            // from the projections, head `hi` at columns `hi·dk ..`.
             Op::AttnScores { q, key, dst, mask } => {
                 let mask = mask.map(|off| &self.weights[off..off + s * s]);
                 let [qs, ks, out] = views_mut(
                     slab,
                     [self.range(q, b), self.range(key, b), self.range(dst, b)],
                 );
-                for blk in 0..b * h {
-                    let qb = &qs[blk * s * dk..(blk + 1) * s * dk];
-                    let kbk = &ks[blk * s * dk..(blk + 1) * s * dk];
-                    let ob = &mut out[blk * s * s..(blk + 1) * s * s];
-                    if is_sparse(qb) {
-                        // Zero-skipping dot, ascending k — the same
-                        // per-element term sequence as the dense dot.
-                        for i in 0..s {
-                            let q_row = &qb[i * dk..(i + 1) * dk];
-                            for (j, o) in ob[i * s..(i + 1) * s].iter_mut().enumerate() {
-                                let k_row = &kbk[j * dk..(j + 1) * dk];
-                                let mut acc = 0.0;
-                                for (&qv, &kv) in q_row.iter().zip(k_row) {
-                                    if qv == 0.0 {
-                                        continue;
-                                    }
-                                    acc += qv * kv;
-                                }
-                                *o = acc;
-                            }
-                        }
-                    } else {
-                        // The K block already stores the contraction
-                        // axis contiguously — it is its own packed
-                        // panel.
-                        for i in 0..s {
-                            kb.dot_block(
-                                &qb[i * dk..(i + 1) * dk],
-                                kbk,
-                                dk,
-                                &mut ob[i * s..(i + 1) * s],
-                            );
-                        }
-                    }
-                    match mask {
-                        Some(m) => {
-                            // mul_scalar then the suffix-broadcast mask
-                            // add: two roundings per element, exactly
-                            // the tensor op pair.
-                            for (o, &mv) in ob.iter_mut().zip(m) {
-                                *o = *o * self.scale + mv;
-                            }
-                        }
-                        None => {
-                            for o in ob.iter_mut() {
-                                *o *= self.scale;
-                            }
-                        }
-                    }
+                for (blk, ob) in out.chunks_exact_mut(s * s).enumerate() {
+                    let at = head_at(blk, s, d, h, dk);
+                    kb.attn_scores(&qs[at..], &ks[at..], geom, self.scale, mask, ob);
                 }
             }
             // The fused trailing-axis softmax row kernel: running max,
@@ -565,59 +503,17 @@ impl Plan {
                     }
                 }
             }
-            // Per (b, h) block: probs · v via the batched matmul
-            // kernel — sparse axpy into a zeroed block, or the packed
-            // transposed panel (packed into plan scratch, the
-            // compile-time home of the kernel's per-forward pack).
-            Op::AttnContext {
-                probs,
-                v,
-                dst,
-                pack,
-            } => {
-                let [ps, vs, out, panel] = views_mut(
+            // One block kernel call per (b, h): probs · v with the
+            // matmul's per-block sparse/dense choice, `v` read in place
+            // and the context written merged, `[b, s, h·dk]`.
+            Op::AttnContext { probs, v, dst } => {
+                let [ps, vs, out] = views_mut(
                     slab,
-                    [
-                        self.range(probs, b),
-                        self.range(v, b),
-                        self.range(dst, b),
-                        self.range(pack, b),
-                    ],
+                    [self.range(probs, b), self.range(v, b), self.range(dst, b)],
                 );
-                for blk in 0..b * h {
-                    let pb = &ps[blk * s * s..(blk + 1) * s * s];
-                    let vb = &vs[blk * s * dk..(blk + 1) * s * dk];
-                    let ob = &mut out[blk * s * dk..(blk + 1) * s * dk];
-                    if is_sparse(pb) {
-                        ob.fill(0.0);
-                        for i in 0..s {
-                            for kk in 0..s {
-                                let p = pb[i * s + kk];
-                                if p == 0.0 {
-                                    continue;
-                                }
-                                kb.axpy(
-                                    p,
-                                    &vb[kk * dk..(kk + 1) * dk],
-                                    &mut ob[i * dk..(i + 1) * dk],
-                                );
-                            }
-                        }
-                    } else {
-                        for kk in 0..s {
-                            for j in 0..dk {
-                                panel[j * s + kk] = vb[kk * dk + j];
-                            }
-                        }
-                        for i in 0..s {
-                            kb.dot_block(
-                                &pb[i * s..(i + 1) * s],
-                                &panel[..dk * s],
-                                s,
-                                &mut ob[i * dk..(i + 1) * dk],
-                            );
-                        }
-                    }
+                for (blk, pb) in ps.chunks_exact(s * s).enumerate() {
+                    let at = head_at(blk, s, d, h, dk);
+                    kb.attn_context(pb, &vs[at..], geom, &mut out[at..]);
                 }
             }
             // mean over the sequence axis: ascending-row accumulation
@@ -771,7 +667,8 @@ impl Plan {
                 gw.fill(0.0);
                 prims::matmul_backward(kb, gz, sx, w, (rows, k, n), Some(gx), Some(gw));
             }
-            // Gradient of `probs · v` per (b, h) block.
+            // Gradients of `probs · v` per (b, h) block, from the merged
+            // context gradient; `dv` lands merged.
             Op::AttnContextGrad {
                 probs,
                 v,
@@ -791,20 +688,13 @@ impl Plan {
                 );
                 gp.fill(0.0);
                 gv.fill(0.0);
-                for blk in 0..b * h {
-                    let (pr, vr) = (
-                        blk * s * s..(blk + 1) * s * s,
-                        blk * s * dk..(blk + 1) * s * dk,
-                    );
-                    prims::matmul_backward(
-                        kb,
-                        &gs[vr.clone()],
-                        &ps[pr.clone()],
-                        &vs[vr.clone()],
-                        (s, s, dk),
-                        Some(&mut gp[pr]),
-                        Some(&mut gv[vr]),
-                    );
+                for (blk, (pb, gpb)) in ps
+                    .chunks_exact(s * s)
+                    .zip(gp.chunks_exact_mut(s * s))
+                    .enumerate()
+                {
+                    let at = head_at(blk, s, d, h, dk);
+                    kb.attn_context_backward(&gs[at..], pb, &vs[at..], geom, gpb, &mut gv[at..]);
                 }
             }
             Op::SoftmaxGrad {
@@ -828,7 +718,8 @@ impl Plan {
             }
             // The mask's gradient is the scores' summed over every (b, h)
             // block; the scale multiplies the scores' gradient in place
-            // before the `q · kᵀ` backward reads it.
+            // before the `q · kᵀ` backward reads it. `dq` and `dk` land
+            // merged.
             Op::AttnScoresGrad {
                 q,
                 key,
@@ -836,9 +727,8 @@ impl Plan {
                 dq,
                 dk: dkey,
                 mask,
-                panel,
             } => {
-                let [qs, ks, gs, gq, gk, pn, gm] = views_mut(
+                let [qs, ks, gs, gq, gk, gm] = views_mut(
                     slab,
                     [
                         self.range(q, b),
@@ -846,7 +736,6 @@ impl Plan {
                         self.range(g, b),
                         self.range(dq, b),
                         self.range(dkey, b),
-                        self.range(panel, b),
                         self.maybe_range(mask, b),
                     ],
                 );
@@ -858,21 +747,10 @@ impl Plan {
                 }
                 gq.fill(0.0);
                 gk.fill(0.0);
-                for blk in 0..b * h {
-                    let (gr, qr) = (
-                        blk * s * s..(blk + 1) * s * s,
-                        blk * s * dk..(blk + 1) * s * dk,
-                    );
-                    prims::matmul_nt_backward(
-                        kb,
-                        &gs[gr],
-                        &qs[qr.clone()],
-                        &ks[qr.clone()],
-                        (s, dk, s),
-                        Some(&mut gq[qr.clone()]),
-                        Some(&mut gk[qr]),
-                        pn,
-                    );
+                for (blk, gb) in gs.chunks_exact(s * s).enumerate() {
+                    let at = head_at(blk, s, d, h, dk);
+                    let (gqb, gkb) = (&mut gq[at..], &mut gk[at..]);
+                    kb.attn_scores_backward(gb, &qs[at..], &ks[at..], geom, gqb, gkb);
                 }
             }
             Op::MeanPoolGrad { g, dst } => {
@@ -909,34 +787,10 @@ fn sum_rows(kb: Kernels, src: &[Elem], out: &mut [Elem]) {
     }
 }
 
-/// Decision-equivalent replay of the matmul kernel's sparsity test,
-/// `count(zeros) as f64 >= SPARSE_ZERO_FRACTION * len as f64`, scanned
-/// in chunks with two early exits: once enough zeros are seen the
-/// verdict is sparse, and once enough nonzeros are seen the threshold
-/// is unreachable. The verdict is bit-for-bit the kernel's — only the
-/// scan cost changes (the graph path re-counts the full buffer every
-/// call; this is one of the per-request costs compilation removes).
-fn is_sparse(xs: &[Elem]) -> bool {
-    let len = xs.len();
-    // Smallest integer count satisfying the kernel's f64 comparison.
-    let need = (SPARSE_ZERO_FRACTION * len as f64).ceil() as usize;
-    if need == 0 {
-        return true;
-    }
-    let budget = len - need; // nonzeros that rule sparse out
-    let (mut zeros, mut nonzeros) = (0usize, 0usize);
-    for chunk in xs.chunks(512) {
-        let z = chunk.iter().filter(|v| **v == 0.0).count();
-        zeros += z;
-        nonzeros += chunk.len() - z;
-        if zeros >= need {
-            return true;
-        }
-        if nonzeros > budget {
-            return false;
-        }
-    }
-    zeros >= need
+/// Where head `blk % h` of batch row `blk / h` starts in a `[b, s, h·dk]`
+/// projection: its first token's first feature.
+fn head_at(blk: usize, s: usize, d: usize, h: usize, dk: usize) -> usize {
+    (blk / h) * s * d + (blk % h) * dk
 }
 
 /// `out[i, :] = src[i, :] · W` with the matmul kernel's data-dependent
@@ -951,7 +805,7 @@ fn matmul_rows(
     out: &mut [Elem],
 ) {
     let rows = src.len() / k;
-    if is_sparse(src) {
+    if prims::is_sparse(src) {
         out.fill(0.0);
         for i in 0..rows {
             for kk in 0..k {

@@ -11,10 +11,9 @@
 //! buffers:
 //!
 //! ```text
-//! Embed → { LayerNorm → Linear×3 → SplitHeads×3 → AttnScores →
-//!           Softmax → AttnContext → MergeHeads →
-//!           Linear+residual → LayerNorm → Linear(gelu) →
-//!           Linear+residual }×depth
+//! Embed → { LayerNorm → Linear×3 → AttnScores → Softmax →
+//!           AttnContext → Linear+residual → LayerNorm →
+//!           Linear(gelu) → Linear+residual }×depth
 //!       → LayerNorm → MeanPool → Linear(gelu) → Linear [→ Mse]
 //! ```
 //!
@@ -25,13 +24,16 @@
 //! layer's context, feed-forward and the head, and its probabilities are
 //! the bits the graph records with `set_record_attention`.
 //!
-//! Two structural savings fall out of compile-time scheduling: an
+//! Three structural savings fall out of compile-time scheduling: an
 //! inference plan runs softmax **in place** on the logits block (the
-//! graph materializes a separate probability tensor), and each residual
-//! add is **folded into the bias pass** of the linear that produces its
-//! right-hand side. Both keep the per-element expression trees — and
-//! therefore the bits — identical; they only drop a buffer and a memory
-//! pass.
+//! graph materializes a separate probability tensor), each residual add
+//! is **folded into the bias pass** of the linear that produces its
+//! right-hand side, and the attention ops read each head **in place**
+//! from the `[b, s, h·dk]` projections and write the context (and, in a
+//! training plan, the `q`, `k` and `v` gradients) **merged**, so the
+//! graph's head split and merge are no ops at all. All keep the
+//! per-element expression trees — and therefore the bits — identical;
+//! they only drop buffers and memory passes.
 //!
 //! **Training plans.** [`Step`](crate::step::Step) compiles the same op
 //! list with a loss op and a flat backward op list: the first-order
@@ -42,7 +44,8 @@
 //! buffers of their own (the in-place probabilities cannot give back the
 //! exponentials bit-exactly), the GELU linears keep their pre-activation
 //! matmul and `tanh` values, and every layernorm input and matmul operand
-//! stays live until its gradient op has read it. The liveness scan runs
+//! (the projections `q`, `k`, `v` among them) stays live until its
+//! gradient op has read it. The liveness scan runs
 //! over forward and backward ops together, so each buffer dies after its
 //! last reader on either side. Parameter gradients live at fixed offsets
 //! at the front of the arena, in parameter order.
@@ -73,8 +76,11 @@
 //! reproduces each op's exact accumulation order — the fused-kernel
 //! order, which the `metadse-nn` contracts pin bit-identical to the
 //! composite forms with the buffer pool on or off, per backend. The
-//! backward ops call the very kernels the graph's first-order backward
-//! closures run. A plan forward is therefore bit-identical to
+//! linear, layernorm, softmax and loss backward ops call the very
+//! kernels the graph's first-order backward closures run; the four
+//! attention ops run `metadse-nn`'s block kernels, one call per `(b, h)`
+//! block, which replay the graph's per-element operations (the graph
+//! keeps its own kernels as the oracle). A plan forward is therefore bit-identical to
 //! `TransformerPredictor::predict`, and a step's loss and gradients to
 //! `mse_on` followed by `autograd::grad(.., false)`, on the same thread;
 //! `tests/plan.rs` and `tests/step.rs` assert this across the whole
@@ -143,8 +149,9 @@ pub const OP_KINDS: usize = 13;
 /// Display names for each op kind, indexed by `Op::kind`; the label
 /// vocabulary of the per-op attribution counters
 /// (`serve/plan_op/<name>_us`). Indices 0–9 are the serving kinds and
-/// stay fixed; a backward op is attributed to the kind of the forward
-/// op it differentiates. `gelu` ([`GELU_KIND`]) is no op of its own: a
+/// stay fixed, retired kinds included (`split_heads`, `merge_heads` and
+/// `residual`, which no program emits any more); a backward op is
+/// attributed to the kind of the forward op it differentiates. `gelu` ([`GELU_KIND`]) is no op of its own: a
 /// profiled run moves the time of a GELU linear's bias+GELU pass, forward
 /// or backward, out of `linear` into it.
 pub const OP_KIND_NAMES: [&str; OP_KINDS] = [
@@ -190,13 +197,11 @@ pub(crate) enum Op {
         gelu: Option<(BufId, BufId)>,
         add: Option<BufId>,
     },
-    /// `[b, s, h·dk] → [b, h, s, dk]` head split (strided copy).
-    SplitHeads { src: BufId, dst: BufId },
-    /// `[b, h, s, dk] → [b, s, h·dk]` head merge (strided copy).
-    MergeHeads { src: BufId, dst: BufId },
-    /// `dst = (q · kᵀ) * scale (+ mask)` per `(b, h)` block, with the
-    /// tensor matmul's per-block sparse/dense choice; `mask` is the
-    /// weight offset of this layer's additive `[seq, seq]` mask.
+    /// `dst = (q · kᵀ) * scale (+ mask)` per `(b, h)` block into `[b, h,
+    /// s, s]`, with the tensor matmul's per-block sparse/dense choice;
+    /// `q` and `key` are the `[b, s, h·dk]` projections, each head read
+    /// in place. `mask` is the weight offset of this layer's additive
+    /// `[seq, seq]` mask.
     AttnScores {
         q: BufId,
         key: BufId,
@@ -212,15 +217,9 @@ pub(crate) enum Op {
         dst: BufId,
         denom: Option<BufId>,
     },
-    /// `dst = probs · v` per `(b, h)` block; dense blocks pack `v`
-    /// transposed into the `pack` scratch (the compile-time analogue
-    /// of the matmul's per-forward packing).
-    AttnContext {
-        probs: BufId,
-        v: BufId,
-        dst: BufId,
-        pack: BufId,
-    },
+    /// `dst = probs · v` per `(b, h)` block, `v` read in place from its
+    /// projection and `dst` written merged, `[b, s, h·dk]`.
+    AttnContext { probs: BufId, v: BufId, dst: BufId },
     /// `dst[b,:] = mean over s of src[b,s,:]`.
     MeanPool { src: BufId, dst: BufId },
     /// `loss = mean((pred − target)²)` — the fused `sq_err_mean`.
@@ -270,8 +269,8 @@ pub(crate) enum Op {
     },
     /// Gradients of [`Op::AttnScores`]: the mask's (summed over every
     /// `(b, h)` block) when it is learnable, then — after scaling `g` in
-    /// place — `dq` and `dk` through the `matmul_nt` backward, with a
-    /// `panel` scratch of `seq · dk`.
+    /// place — `dq` and `dk` (merged) through the `matmul_nt` backward's
+    /// terms.
     AttnScoresGrad {
         q: BufId,
         key: BufId,
@@ -279,7 +278,6 @@ pub(crate) enum Op {
         dq: BufId,
         dk: BufId,
         mask: Option<BufId>,
-        panel: BufId,
     },
     /// Gradient of [`Op::Softmax`] from the kept exponentials and
     /// denominators; `terms` is `seq` elements of scratch.
@@ -290,7 +288,8 @@ pub(crate) enum Op {
         dst: BufId,
         terms: BufId,
     },
-    /// Gradients of [`Op::AttnContext`]: `dprobs` and `dv`.
+    /// Gradients of [`Op::AttnContext`] from the merged context gradient
+    /// `g`: `dprobs` and `dv` (merged).
     AttnContextGrad {
         probs: BufId,
         v: BufId,
@@ -312,8 +311,8 @@ impl Op {
             Op::Embed { .. } | Op::EmbedGrad { .. } => 0,
             Op::LayerNorm { .. } | Op::LayerNormGrad { .. } => 1,
             Op::Linear { .. } | Op::LinearGrad { .. } => 2,
-            Op::SplitHeads { .. } => 3,
-            Op::MergeHeads { .. } => 4,
+            // Kinds 3 and 4 ("split_heads", "merge_heads") are retired:
+            // the attention ops read and write heads in place.
             Op::AttnScores { .. } | Op::AttnScoresGrad { .. } => 5,
             Op::Softmax { .. } | Op::SoftmaxGrad { .. } => 6,
             Op::AttnContext { .. } | Op::AttnContextGrad { .. } => 7,
@@ -343,19 +342,13 @@ impl Op {
                 v.extend(add);
                 v
             }
-            Op::SplitHeads { src, dst } | Op::MergeHeads { src, dst } => vec![src, dst],
             Op::AttnScores { q, key, dst, .. } => vec![q, key, dst],
             Op::Softmax { src, dst, denom } => {
                 let mut v = vec![src, dst];
                 v.extend(denom);
                 v
             }
-            Op::AttnContext {
-                probs,
-                v,
-                dst,
-                pack,
-            } => vec![probs, v, dst, pack],
+            Op::AttnContext { probs, v, dst } => vec![probs, v, dst],
             Op::MeanPool { src, dst } => vec![src, dst],
             Op::Mse { pred, target, loss } => vec![pred, target, loss],
             Op::MseGrad { pred, target, dst } => vec![pred, target, dst],
@@ -393,9 +386,8 @@ impl Op {
                 dq,
                 dk,
                 mask,
-                panel,
             } => {
-                let mut v = vec![q, key, g, dq, dk, panel];
+                let mut v = vec![q, key, g, dq, dk];
                 v.extend(mask);
                 v
             }
@@ -913,21 +905,15 @@ fn lower(
         });
         let mut qkv = [BufId(0); 3];
         for (w, slot) in qkv.iter_mut().enumerate() {
-            let flat = b.buf(s * d);
+            *slot = b.buf(s * d);
             b.push(Op::Linear {
                 src: ln1,
-                dst: flat,
+                dst: *slot,
                 lin: lin + w,
                 rows_per_item: s,
                 gelu: None,
                 add: None,
             });
-            let split = b.buf(s * d);
-            b.push(Op::SplitHeads {
-                src: flat,
-                dst: split,
-            });
-            *slot = split;
         }
         let [qh, kh, vh] = qkv;
         let logits = b.buf(h * s * s);
@@ -955,25 +941,18 @@ fn lower(
             attention = Some(probs);
             break;
         }
-        let pack = b.scratch(s * dk);
         let ctx = b.buf(s * d);
         b.push(Op::AttnContext {
             probs,
             v: vh,
             dst: ctx,
-            pack,
-        });
-        let merged = b.buf(s * d);
-        b.push(Op::MergeHeads {
-            src: ctx,
-            dst: merged,
         });
         // The attention-output projection writes straight into the
-        // residual sum (`res1 = hcur + merged·wo + bias`), folding the
+        // residual sum (`res1 = hcur + ctx·wo + bias`), folding the
         // graph's standalone elementwise add into the bias pass.
         let res1 = b.buf(s * d);
         b.push(Op::Linear {
-            src: merged,
+            src: ctx,
             dst: res1,
             lin: lin + 3,
             rows_per_item: s,
@@ -1011,7 +990,7 @@ fn lower(
             logits,
             probs,
             denom,
-            merged,
+            ctx,
             res1,
             ln2,
             mm,
@@ -1132,13 +1111,14 @@ fn lower(
 struct LayerBufs {
     input: BufId,
     ln1: BufId,
-    /// The head-split `q`, `k` and `v`.
+    /// The projections `q`, `k` and `v`, `[b, s, h·dk]`.
     qkv: [BufId; 3],
     /// The scores (the exponentials, after a training softmax).
     logits: BufId,
     probs: BufId,
     denom: Option<BufId>,
-    merged: BufId,
+    /// The merged attention context.
+    ctx: BufId,
     res1: BufId,
     ln2: BufId,
     mm: BufId,
@@ -1351,15 +1331,10 @@ impl<'b> Backward<'b> {
             );
             let gx2 = self.layernorm(&fw.norms[nrm + 1], nrm + 1, l.res1, gln2);
             self.contribute(l.res1, gx2);
-            // `res1 = input + wo(merged)`: likewise for the layer input.
+            // `res1 = input + wo(ctx)`: likewise for the layer input.
             let gres1 = self.grad(l.res1);
             self.contribute(l.input, gres1);
-            let gmerged = self.linear(&fw.linears[lin + 3], lin + 3, l.merged, gres1, s, None);
-            let gctx = self.b.buf(s * d);
-            self.push(Op::SplitHeads {
-                src: gmerged,
-                dst: gctx,
-            });
+            let gctx = self.linear(&fw.linears[lin + 3], lin + 3, l.ctx, gres1, s, None);
             let (gprobs, gv) = (self.b.buf(h * s * s), self.b.buf(s * d));
             self.push(Op::AttnContextGrad {
                 probs: l.probs,
@@ -1378,7 +1353,6 @@ impl<'b> Backward<'b> {
                 terms,
             });
             let (gq, gk) = (self.b.buf(s * d), self.b.buf(s * d));
-            let panel = self.b.scratch(s * (d / h));
             // Only a mask in the parameter list (learnable) gets a
             // gradient; a frozen one sits past the parameters.
             let learnable = fw.masks[i].filter(|off| self.params.contains_key(off));
@@ -1390,17 +1364,11 @@ impl<'b> Backward<'b> {
                 dq: gq,
                 dk: gk,
                 mask,
-                panel,
             });
             // `q`, `k` and `v` each read the layernorm output; autograd
             // delivers their contributions in that order.
-            for (w, gsplit) in [gq, gk, gv].into_iter().enumerate() {
-                let gflat = self.b.buf(s * d);
-                self.push(Op::MergeHeads {
-                    src: gsplit,
-                    dst: gflat,
-                });
-                let gln1 = self.linear(&fw.linears[lin + w], lin + w, l.ln1, gflat, s, None);
+            for (w, gproj) in [gq, gk, gv].into_iter().enumerate() {
+                let gln1 = self.linear(&fw.linears[lin + w], lin + w, l.ln1, gproj, s, None);
                 self.contribute(l.ln1, gln1);
             }
             let gln1 = self.grad(l.ln1);
@@ -1603,9 +1571,10 @@ mod tests {
     #[test]
     fn compile_shapes_the_expected_sequence() {
         let plan = Plan::compile(&servable(2), 4).unwrap();
-        // 1 prologue op (embed) + 15 per layer (residual adds are
-        // folded into their linears) + 4 epilogue ops.
-        assert_eq!(plan.num_ops(), 1 + 15 * 2 + 4);
+        // 1 prologue op (embed) + 11 per layer (residual adds are
+        // folded into their linears, heads are read and written in
+        // place) + 4 epilogue ops.
+        assert_eq!(plan.num_ops(), 1 + 11 * 2 + 4);
         assert_eq!(plan.capacity(), 4);
         assert_eq!(plan.arity(), 6);
         assert_eq!(plan.linears.len(), 6 * 2 + 2);
@@ -1782,10 +1751,10 @@ mod tests {
             assert_eq!(bits(&got), bits(&recorded.to_vec()), "mask {learnable:?}");
         }
         // The plan stops at the last softmax: the embedding, one whole
-        // layer, then the last layer's layernorm, three projections and
-        // head splits, scores and softmax.
+        // layer, then the last layer's layernorm, three projections,
+        // scores and softmax.
         let ops = Plan::attention(&model(2), 1).ops.len();
-        assert_eq!(ops, 1 + 15 + 9);
+        assert_eq!(ops, 1 + 11 + 6);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use metadse::plan::{Plan, PlanArena};
 use metadse::predictor::{PredictorConfig, TransformerPredictor};
 use metadse::wam::{self, AttentionStats, WamConfig};
 use metadse::ServablePredictor;
-use metadse_nn::layers::Param;
+use metadse_nn::layers::{Module, Param};
 use metadse_nn::tensor::fused::FusedModeGuard;
 use metadse_nn::tensor::pool::PoolModeGuard;
 use metadse_nn::{autograd, backend, BackendKind, BackendModeGuard, Elem, Tensor};
@@ -156,6 +156,124 @@ fn plan_parity_on_poison_inputs() {
                         kind.name()
                     ),
                 );
+            }
+        }
+    }
+}
+
+/// Every attention kernel branch against `predict`: the default geometry
+/// (21 tokens, heads of 8), heads of 3 and 1 (contractions within
+/// `SEQ_EQUIV_MAX`), 5 (partial tiles) and 16, and 37 tokens; batches
+/// of 1, 10 and 45 rows (every third one zero-heavy) and the poison
+/// rows; no, frozen and learnable masks with −1e9 entries (exact-zero
+/// probabilities: the sparse context path); a partly zeroed query head
+/// (the sparse scores path); both backends. Plans compiled from a live model
+/// and from its sealed artifact run the same ops.
+#[test]
+fn plan_parity_at_every_kernel_branch() {
+    let mut geometries = vec![PredictorConfig::default()];
+    for (num_params, d_model, heads) in [(6, 6, 2), (5, 4, 4), (7, 10, 2), (9, 32, 2), (37, 16, 2)]
+    {
+        geometries.push(PredictorConfig {
+            num_params,
+            d_model,
+            heads,
+            depth: 2,
+            d_hidden: 12,
+            head_hidden: 8,
+        });
+    }
+    for cfg in geometries {
+        let s = cfg.num_params;
+        // Three eighths (rounded up) of head 0's query features.
+        let zeroed = (3 * (cfg.d_model / cfg.heads)).div_ceil(8);
+        for learnable in [None, Some(false), Some(true)] {
+            for zero_head in [false, true] {
+                let model = TransformerPredictor::new(cfg, 19);
+                if zero_head {
+                    for p in model.params() {
+                        let name = p.name();
+                        if name.ends_with("attn.wq.weight") || name.ends_with("attn.wq.bias") {
+                            let t = p.get();
+                            let width = *t.shape().last().unwrap();
+                            let values = t
+                                .to_vec()
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &v)| if i % width < zeroed { 0.0 } else { v })
+                                .collect();
+                            p.set(Tensor::param_from_vec(values, t.shape()));
+                        }
+                    }
+                }
+                if let Some(learnable) = learnable {
+                    let values: Vec<Elem> = (0..s * s)
+                        .map(|i| {
+                            if i % 3 == 1 {
+                                -1e9
+                            } else {
+                                -0.2 * (i % 5) as Elem
+                            }
+                        })
+                        .collect();
+                    let tensor = if learnable {
+                        Tensor::param_from_vec(values, &[s, s])
+                    } else {
+                        Tensor::from_vec(values, &[s, s])
+                    };
+                    model.install_mask(Param::new("wam.mask", tensor));
+                }
+                for kind in [BackendKind::Scalar, BackendKind::Simd] {
+                    let _backend = BackendModeGuard::set(kind);
+                    let mut batches: Vec<Vec<Vec<Elem>>> = [1, 10, 45]
+                        .into_iter()
+                        .map(|n| {
+                            (0..n)
+                                .map(|i| {
+                                    (0..s)
+                                        .map(|j| {
+                                            if i % 3 == 2 && j % 4 != 0 {
+                                                0.0
+                                            } else {
+                                                ((i * 31 + j * 7) as Elem * 0.1).sin()
+                                            }
+                                        })
+                                        .collect()
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let mut poison = vec![vec![0.0; s], vec![Elem::MIN_POSITIVE / 2.0; s]];
+                    for (lane, v) in [(0, Elem::NAN), (1, Elem::INFINITY), (2, -0.0), (3, 1e-310)] {
+                        let mut row: Vec<Elem> = (0..s).map(|j| j as Elem * 0.125).collect();
+                        row[lane % s] = v;
+                        poison.push(row);
+                    }
+                    batches.push(poison);
+                    let sv = ServablePredictor::capture(&model, None, "ipc");
+                    for inputs in &batches {
+                        let context = format!(
+                            "seq={s} d={} heads={} mask={learnable:?} zero_head={zero_head} \
+                             backend={} rows={}",
+                            cfg.d_model,
+                            cfg.heads,
+                            kind.name(),
+                            inputs.len()
+                        );
+                        let expected = model.predict(inputs);
+                        let got = Plan::from_model(&model, inputs.len())
+                            .run(inputs, &mut PlanArena::new());
+                        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                            assert!(
+                                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                                "{context}: row {i} diverged (plan {g:?} vs predict {e:?})"
+                            );
+                        }
+                        if learnable.is_none() {
+                            assert_plan_matches_predict(&sv, inputs, &format!("{context} sealed"));
+                        }
+                    }
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
 //! under every backend × pool × fused mode combination (selected
 //! in-process by the mode guards), at every batch size and depth, with
 //! no mask, a frozen mask and a learnable one, on inputs with exact
-//! zeros and on poison (NaN, ±inf, subnormals, −0.0). The graph loops
+//! zeros and on poison (NaN, ±inf, subnormals, −0.0), at geometries that
+//! reach every branch of the attention block kernels. The graph loops
 //! kept here are the oracles for the compiled training paths
 //! (`wam::adapt`, `maml::inner_adapt` and the first-order
 //! meta-gradient, `trendse::train_supervised`), and the fan-outs that
@@ -252,6 +253,84 @@ fn step_matches_graph_at_the_default_geometry() {
                     &y,
                     &format!("default mask={mask:?} backend={} rows={n}", kind.name()),
                 );
+            }
+        }
+    }
+}
+
+/// Geometries that reach every branch of the attention block kernels:
+/// the default (21 tokens, heads of 8), heads of 3 and 1 (contractions
+/// within `SEQ_EQUIV_MAX`), 5 (partial tiles) and 16, and 37 tokens
+/// (contractions past the 32-row stack panel's tail and partial score
+/// tiles).
+fn kernel_geometries() -> Vec<PredictorConfig> {
+    let mut out = vec![PredictorConfig::default()];
+    for (num_params, d_model, heads) in [(6, 6, 2), (5, 4, 4), (7, 10, 2), (9, 32, 2), (37, 16, 2)]
+    {
+        out.push(PredictorConfig {
+            num_params,
+            d_model,
+            heads,
+            depth: 2,
+            d_hidden: 12,
+            head_hidden: 8,
+        });
+    }
+    out
+}
+
+/// Zeroes three eighths (rounded up) of head 0's query features in every
+/// layer, so its score blocks take the sparse (zero-skipping) path on
+/// the features left while the other heads stay dense.
+fn zero_first_query_head(m: &TransformerPredictor) {
+    let cfg = *m.config();
+    let dk = (3 * (cfg.d_model / cfg.heads)).div_ceil(8);
+    for p in m.params() {
+        if !(p.name().ends_with("attn.wq.weight") || p.name().ends_with("attn.wq.bias")) {
+            continue;
+        }
+        let t = p.get();
+        let mut values = t.to_vec();
+        let width = *t.shape().last().unwrap();
+        for (i, v) in values.iter_mut().enumerate() {
+            if i % width < dk {
+                *v = 0.0;
+            }
+        }
+        p.set(Tensor::param_from_vec(values, t.shape()));
+    }
+}
+
+/// Every attention kernel branch against the graph: each geometry above,
+/// rows {1, 10, 45} (every third one mostly zeros) and the poison rows,
+/// no, frozen and learnable masks (the −1e9 entries send probability
+/// blocks down the sparse context path), a partly zeroed query head (the
+/// sparse scores path), both backends.
+#[test]
+fn step_matches_graph_at_every_kernel_branch() {
+    for cfg in kernel_geometries() {
+        let s = cfg.num_params;
+        for mask in [Mask::None, Mask::Frozen, Mask::Learnable] {
+            for zero_head in [false, true] {
+                let m = model(cfg, 17, mask);
+                if zero_head {
+                    zero_first_query_head(&m);
+                }
+                for kind in [BackendKind::Scalar, BackendKind::Simd] {
+                    let _backend = BackendModeGuard::set(kind);
+                    let ctx = format!(
+                        "seq={s} d={} heads={} mask={mask:?} zero_head={zero_head} backend={}",
+                        cfg.d_model,
+                        cfg.heads,
+                        kind.name()
+                    );
+                    for n in [1, 10, 45] {
+                        let (x, y) = rows(n, s, 3 + n as u64);
+                        assert_step_matches_graph(&m, &x, &y, &format!("{ctx} rows={n}"));
+                    }
+                    let (x, y) = poison_rows(s);
+                    assert_step_matches_graph(&m, &x, &y, &format!("{ctx} poison"));
+                }
             }
         }
     }

@@ -55,6 +55,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use super::blocks::{self, AttnGeom};
 use super::math;
 use crate::Elem;
 
@@ -154,6 +155,52 @@ pub(crate) trait Backend: Sync {
         tanh: &[Elem],
         gsum: &mut [Elem],
     );
+
+    /// One attention block's scores, `q · kᵀ · scale (+ mask)`, in this
+    /// backend's `dot` order (`blocks::attn_scores`).
+    fn attn_scores(
+        &self,
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    );
+
+    /// One attention block's context, `p · v`, written merged
+    /// (`blocks::attn_context`).
+    fn attn_context(&self, p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]);
+
+    /// First-order gradients of one block's `q · kᵀ`
+    /// (`blocks::attn_scores_backward`).
+    fn attn_scores_backward(
+        &self,
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    );
+
+    /// First-order gradients of one block's `p · v`
+    /// (`blocks::attn_context_backward`).
+    fn attn_context_backward(
+        &self,
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    );
+
+    /// `gb[kk, j] += a[i, kk]·g[i, j]` over rows ascending, zero `a`
+    /// skipped: the weight side of a `[m, k] · [k, n]` backward
+    /// (`blocks::weight_grad`). Independent accumulators —
+    /// bit-identical across backends.
+    fn weight_grad(&self, a: &[Elem], g: &[Elem], mkn: (usize, usize, usize), gb: &mut [Elem]);
 }
 
 // ---------------------------------------------------------------------
@@ -295,6 +342,51 @@ impl Backend for ScalarBackend {
             let gs3 = (gi1 * 0.044715) * ((s * s) * 3.0);
             gsum[i] = gs1 + gi1 + gs3;
         }
+    }
+
+    fn attn_scores(
+        &self,
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        blocks::attn_scores::<false>(q, k, g, scale, mask, out)
+    }
+
+    fn attn_context(&self, p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]) {
+        blocks::attn_context::<false>(p, v, g, out)
+    }
+
+    fn attn_scores_backward(
+        &self,
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        blocks::attn_scores_backward::<false>(gs, q, k, g, gq, gk)
+    }
+
+    fn attn_context_backward(
+        &self,
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        blocks::attn_context_backward::<false>(gc, p, v, g, gp, gv)
+    }
+
+    fn weight_grad(&self, a: &[Elem], g: &[Elem], mkn: (usize, usize, usize), gb: &mut [Elem]) {
+        let (_, k, n) = mkn;
+        blocks::weight_grad((a, k), (g, n), mkn, (gb, n))
     }
 }
 
@@ -602,7 +694,7 @@ mod kernels {
 /// Baseline-ISA instantiation of the SIMD kernels (whatever vector width
 /// the default target provides — SSE2 on x86-64).
 mod portable {
-    use super::Elem;
+    use super::{blocks, AttnGeom, Elem};
 
     pub(super) fn dot(a: &[Elem], b: &[Elem]) -> Elem {
         super::kernels::dot(a, b)
@@ -639,6 +731,47 @@ mod portable {
         gsum: &mut [Elem],
     ) {
         super::kernels::bias_gelu_backward(sg, sx, sb, tanh, gsum)
+    }
+    pub(super) fn attn_scores(
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        blocks::attn_scores::<true>(q, k, g, scale, mask, out)
+    }
+    pub(super) fn attn_context(p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]) {
+        blocks::attn_context::<true>(p, v, g, out)
+    }
+    pub(super) fn attn_scores_backward(
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        blocks::attn_scores_backward::<true>(gs, q, k, g, gq, gk)
+    }
+    pub(super) fn attn_context_backward(
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        blocks::attn_context_backward::<true>(gc, p, v, g, gp, gv)
+    }
+    pub(super) fn weight_grad(
+        a: (&[Elem], usize),
+        g: (&[Elem], usize),
+        mkn: (usize, usize, usize),
+        gb: (&mut [Elem], usize),
+    ) {
+        blocks::weight_grad(a, g, mkn, gb)
     }
 }
 
@@ -648,7 +781,7 @@ mod portable {
 /// identical to [`portable`].
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::Elem;
+    use super::{blocks, AttnGeom, Elem};
 
     #[target_feature(enable = "avx2")]
     pub(super) fn dot(a: &[Elem], b: &[Elem]) -> Elem {
@@ -695,6 +828,52 @@ mod avx2 {
         gsum: &mut [Elem],
     ) {
         super::kernels::bias_gelu_backward(sg, sx, sb, tanh, gsum)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn attn_scores(
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        blocks::attn_scores::<true>(q, k, g, scale, mask, out)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn attn_context(p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]) {
+        blocks::attn_context::<true>(p, v, g, out)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn attn_scores_backward(
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        blocks::attn_scores_backward::<true>(gs, q, k, g, gq, gk)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn attn_context_backward(
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        blocks::attn_context_backward::<true>(gc, p, v, g, gp, gv)
+    }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn weight_grad(
+        a: (&[Elem], usize),
+        g: (&[Elem], usize),
+        mkn: (usize, usize, usize),
+        gb: (&mut [Elem], usize),
+    ) {
+        blocks::weight_grad(a, g, mkn, gb)
     }
 }
 
@@ -774,6 +953,48 @@ impl Backend for SimdBackend {
         gsum: &mut [Elem],
     ) {
         simd_dispatch!(self, sg.len(), bias_gelu_backward(sg, sx, sb, tanh, gsum))
+    }
+    // The block kernels do a whole block's work per call, which always
+    // outweighs the AVX2 call: they dispatch on the block's size.
+    fn attn_scores(
+        &self,
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        simd_dispatch!(self, out.len(), attn_scores(q, k, g, scale, mask, out))
+    }
+    fn attn_context(&self, p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]) {
+        simd_dispatch!(self, p.len(), attn_context(p, v, g, out))
+    }
+    fn attn_scores_backward(
+        &self,
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        simd_dispatch!(self, gs.len(), attn_scores_backward(gs, q, k, g, gq, gk))
+    }
+    fn attn_context_backward(
+        &self,
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        simd_dispatch!(self, p.len(), attn_context_backward(gc, p, v, g, gp, gv))
+    }
+    fn weight_grad(&self, a: &[Elem], g: &[Elem], mkn: (usize, usize, usize), gb: &mut [Elem]) {
+        let (_, k, n) = mkn;
+        simd_dispatch!(self, gb.len(), weight_grad((a, k), (g, n), mkn, (gb, n)))
     }
 }
 
@@ -923,6 +1144,56 @@ impl ActiveBackend {
     ) {
         active_dispatch!(self.bias_gelu_backward(sg, sx, sb, tanh, gsum))
     }
+    #[inline(always)]
+    pub(crate) fn attn_scores(
+        self,
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        active_dispatch!(self.attn_scores(q, k, g, scale, mask, out))
+    }
+    #[inline(always)]
+    pub(crate) fn attn_context(self, p: &[Elem], v: &[Elem], g: AttnGeom, out: &mut [Elem]) {
+        active_dispatch!(self.attn_context(p, v, g, out))
+    }
+    #[inline(always)]
+    pub(crate) fn attn_scores_backward(
+        self,
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        g: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        active_dispatch!(self.attn_scores_backward(gs, q, k, g, gq, gk))
+    }
+    #[inline(always)]
+    pub(crate) fn attn_context_backward(
+        self,
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        g: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        active_dispatch!(self.attn_context_backward(gc, p, v, g, gp, gv))
+    }
+    #[inline(always)]
+    pub(crate) fn weight_grad(
+        self,
+        a: &[Elem],
+        g: &[Elem],
+        mkn: (usize, usize, usize),
+        gb: &mut [Elem],
+    ) {
+        active_dispatch!(self.weight_grad(a, g, mkn, gb))
+    }
 }
 
 /// The active backend kernels for the current thread.
@@ -937,6 +1208,22 @@ pub(crate) fn active() -> ActiveBackend {
             ActiveBackend::Simd(SimdBackend { avx2 })
         }
     }
+}
+
+/// Every kernel set this host runs, with its name and whether it sums in
+/// the SIMD backend's 8 lanes: the scalar backend, the portable SIMD
+/// build and, where the CPU has AVX2, the AVX2 build.
+#[cfg(test)]
+pub(crate) fn kernel_sets() -> Vec<(&'static str, bool, Box<dyn Backend>)> {
+    let mut sets: Vec<(&'static str, bool, Box<dyn Backend>)> = vec![
+        ("scalar", false, Box::new(ScalarBackend)),
+        ("portable", true, Box::new(SimdBackend { avx2: false })),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        sets.push(("avx2", true, Box::new(SimdBackend { avx2: true })));
+    }
+    sets
 }
 
 /// RAII override of the backend on the current thread; restores the
@@ -1066,7 +1353,69 @@ mod tests {
                 assert_eq!(bits(&exp_pass(&portable, &xs)), bits(&exp_pass(&wide, &xs)));
                 assert_eq!(gelu_pass(&portable, &xs), gelu_pass(&wide, &xs));
             }
+            // The block kernels, dense and sparse, at the default head
+            // geometry and at a head that leaves partial tiles.
+            for (seq, dk, heads) in [(21, 8, 4), (13, 5, 3)] {
+                for zero_every in [0, 3] {
+                    let geom = AttnGeom {
+                        seq,
+                        dk,
+                        stride: dk * heads,
+                    };
+                    assert_eq!(
+                        block_pass(&portable, geom, zero_every),
+                        block_pass(&wide, geom, zero_every),
+                        "seq={seq} dk={dk} zeros every {zero_every}"
+                    );
+                }
+            }
+            let (m, k, n) = (45, 33, 17);
+            let a: Vec<Elem> = (0..m * k)
+                .map(|i| if i % 5 == 0 { 0.0 } else { (i as Elem).sin() })
+                .collect();
+            let g: Vec<Elem> = (0..m * n).map(|i| (i as Elem * 0.3).cos()).collect();
+            let (mut o1, mut o2) = (vec![0.5; k * n], vec![0.5; k * n]);
+            portable.weight_grad(&a, &g, (m, k, n), &mut o1);
+            wide.weight_grad(&a, &g, (m, k, n), &mut o2);
+            assert_eq!(bits(&o1), bits(&o2));
         }
+    }
+
+    /// Every output of the four attention block kernels on head 1 of a
+    /// `[seq, heads·dk]` layout, as bits; `zero_every > 0` zeroes every
+    /// such element of the inputs (the sparse paths).
+    fn block_pass(be: &dyn Backend, g: AttnGeom, zero_every: usize) -> Vec<Vec<u64>> {
+        let (s, at) = (g.seq, g.dk);
+        let fill = |n: usize, f: Elem| -> Vec<Elem> {
+            (0..n)
+                .map(|i| {
+                    if zero_every > 0 && i % zero_every == 0 {
+                        0.0
+                    } else {
+                        (i as Elem * f).sin()
+                    }
+                })
+                .collect()
+        };
+        let (q, k, v) = (
+            fill(s * g.stride, 0.7),
+            fill(s * g.stride, 1.3),
+            fill(s * g.stride, 0.4),
+        );
+        let probs = fill(s * s, 0.9);
+        let mask: Vec<Elem> = (0..s * s).map(|i| -((i % 4) as Elem)).collect();
+        let mut scores = vec![0.0; s * s];
+        be.attn_scores(&q[at..], &k[at..], g, 0.35, Some(&mask), &mut scores);
+        let mut ctx = vec![0.0; s * g.stride];
+        be.attn_context(&probs, &v[at..], g, &mut ctx[at..]);
+        let (mut gq, mut gk) = (vec![0.0; s * g.stride], vec![0.0; s * g.stride]);
+        be.attn_scores_backward(&probs, &q[at..], &k[at..], g, &mut gq[at..], &mut gk[at..]);
+        let (mut gp, mut gv) = (vec![0.0; s * s], vec![0.0; s * g.stride]);
+        be.attn_context_backward(&ctx[at..], &probs, &v[at..], g, &mut gp, &mut gv[at..]);
+        [scores, ctx, gq, gk, gp, gv]
+            .iter()
+            .map(|x| bits(x))
+            .collect()
     }
 
     /// Sweep inputs for the elementwise passes: the softmax domain, the

@@ -156,9 +156,11 @@ fn matmul_forward(
 /// `dL/dA[i, kk] = dot_j(g[i, ·], B[kk, ·])` — both rows contiguous in the
 /// original layouts, so no transpose is ever materialized: B's `k` rows of
 /// length `n` already form a `dot_block` panel for the gradient row.
-/// `dL/dB` uses the axpy form with zero-skip on A (zero attention weights
-/// contribute no gradient term). The graph's backward and the compiled
-/// training step both run this kernel, so they share its bits.
+/// `dL/dB` is the axpy form with zero-skip on A (zero attention weights
+/// contribute no gradient term), run by the register-blocked
+/// `weight_grad` block kernel: `gb[kk, j] += a[i, kk]·g[i, j]`, rows
+/// ascending. The graph's backward and the compiled training step both
+/// run this kernel, so they share its bits.
 #[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
 pub(crate) fn matmul_backward_block(
     be: ActiveBackend,
@@ -179,16 +181,7 @@ pub(crate) fn matmul_backward_block(
         }
     }
     if let Some(gb) = gb {
-        for i in 0..m {
-            let g_row = &dg[i * n..(i + 1) * n];
-            for kk in 0..k {
-                let a_ik = da[i * k + kk];
-                if a_ik == 0.0 {
-                    continue;
-                }
-                be.axpy(a_ik, g_row, &mut gb[kk * n..(kk + 1) * n]);
-            }
-        }
+        be.weight_grad(&da[..m * k], &dg[..m * n], (m, k, n), &mut gb[..k * n]);
     }
 }
 
@@ -303,7 +296,7 @@ fn matmul_nt_forward(
 /// zero-skip on A, summed over `i` in ascending order — the order the
 /// transpose node would have forwarded unchanged.
 #[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
-pub(crate) fn matmul_nt_backward_block(
+fn matmul_nt_backward_block(
     be: ActiveBackend,
     dg: &[Elem],
     da: &[Elem],

@@ -11,6 +11,7 @@ pub mod pool;
 pub mod prims;
 pub mod shape;
 
+mod blocks;
 mod composite;
 mod math;
 mod matmul;

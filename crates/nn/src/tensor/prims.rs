@@ -13,17 +13,29 @@
 //! [`kernels`] resolves the calling thread's active backend once and
 //! returns a [`Kernels`] handle — a `Copy` token that pins the choice
 //! for a whole pass, exactly as `backend::active()` does inside each
-//! tensor op. Beside the forward primitives, the module exports the
-//! first-order backward kernels the graph's own backward closures run
-//! ([`matmul_backward`], [`matmul_nt_backward`], [`softmax_backward`],
-//! [`layernorm_backward`], [`sq_err_mean_backward`],
-//! [`Kernels::bias_gelu_backward`]): one implementation per gradient, so
-//! a compiled backward lands on the graph's bits by construction. The
-//! owned [`exp`] and [`tanh`] every elementwise kernel runs are
+//! tensor op. Beside the forward primitives, the module exports
+//! first-order backward kernels of two kinds:
+//!
+//! * the ones the graph's own backward closures run
+//!   ([`matmul_backward`], [`softmax_backward`], [`layernorm_backward`],
+//!   [`sq_err_mean_backward`], [`Kernels::bias_gelu_backward`]): one
+//!   implementation, so a compiled backward lands on the graph's bits by
+//!   construction;
+//! * the attention block kernels ([`Kernels::attn_scores`],
+//!   [`Kernels::attn_context`] and their backwards), which take one
+//!   `(batch, head)` block per call, read the heads in place and write
+//!   them merged. The graph keeps its own per-row attention kernels, so
+//!   these match it by replaying the same per-element operations, and
+//!   the parity suites of `metadse` compare the two.
+//!
+//! The owned [`exp`] and [`tanh`] every elementwise kernel runs are
 //! re-exported here too.
 
 use super::backend::{self, ActiveBackend};
 use crate::Elem;
+
+/// One attention block's geometry, for the block kernels.
+pub use super::blocks::AttnGeom;
 
 /// Fraction of exact zeros at which the in-graph matmul switches a
 /// batch to the zero-skipping sparse kernel. Exported so out-of-graph
@@ -31,6 +43,13 @@ use crate::Elem;
 /// path decision is part of the bit-exactness contract, not just the
 /// arithmetic inside each path.
 pub const SPARSE_ZERO_FRACTION: f64 = super::matmul::SPARSE_ZERO_FRACTION;
+
+/// The matmul kernels' data-dependent sparse test on an operand block
+/// (`count(zeros) >= SPARSE_ZERO_FRACTION · len`), with early exits:
+/// the verdict the tensor kernels reach by counting the whole block.
+pub fn is_sparse(xs: &[Elem]) -> bool {
+    super::blocks::is_sparse(xs)
+}
 
 /// Row lengths at or below this bound make the backends' chunked
 /// reductions degenerate to sequential accumulation (re-exported from
@@ -135,6 +154,64 @@ impl Kernels {
     pub fn sum_sq_diff(self, a: &[Elem], b: &[Elem]) -> Elem {
         self.be.sum_sq_diff(a, b)
     }
+
+    /// One `(batch, head)` block of attention scores into the `[seq,
+    /// seq]` block `out`: `dot(q_i, k_j) · scale`, then `+ mask[i, j]`
+    /// when a mask is given — the `q · kᵀ` matmul with its per-block
+    /// sparse/dense choice on `q`, in this backend's `dot` order. Row
+    /// `i` of `q` and `k` is `dk` elements at `i · stride`.
+    #[inline(always)]
+    pub fn attn_scores(
+        self,
+        q: &[Elem],
+        k: &[Elem],
+        geom: AttnGeom,
+        scale: Elem,
+        mask: Option<&[Elem]>,
+        out: &mut [Elem],
+    ) {
+        self.be.attn_scores(q, k, geom, scale, mask, out)
+    }
+
+    /// One block's context `p · v` (the `[seq, seq]` probabilities `p`,
+    /// with the matmul's per-block sparse/dense choice on `p`), written
+    /// merged: row `i` to `out[i · stride ..]`.
+    #[inline(always)]
+    pub fn attn_context(self, p: &[Elem], v: &[Elem], geom: AttnGeom, out: &mut [Elem]) {
+        self.be.attn_context(p, v, geom, out)
+    }
+
+    /// First-order gradients of one block's `q · kᵀ` from `gs` (`[seq,
+    /// seq]`, the scale already applied), accumulated into `gq` and
+    /// `gk` in the merged layout: the `matmul_nt` backward's terms.
+    #[inline(always)]
+    pub fn attn_scores_backward(
+        self,
+        gs: &[Elem],
+        q: &[Elem],
+        k: &[Elem],
+        geom: AttnGeom,
+        gq: &mut [Elem],
+        gk: &mut [Elem],
+    ) {
+        self.be.attn_scores_backward(gs, q, k, geom, gq, gk)
+    }
+
+    /// First-order gradients of one block's `p · v` from the merged
+    /// context gradient `gc`, accumulated into the `[seq, seq]` block
+    /// `gp` and into `gv` (merged layout): the matmul backward's terms.
+    #[inline(always)]
+    pub fn attn_context_backward(
+        self,
+        gc: &[Elem],
+        p: &[Elem],
+        v: &[Elem],
+        geom: AttnGeom,
+        gp: &mut [Elem],
+        gv: &mut [Elem],
+    ) {
+        self.be.attn_context_backward(gc, p, v, geom, gp, gv)
+    }
 }
 
 /// First-order gradients of one `[m, k] · [k, n]` block, accumulated
@@ -151,24 +228,6 @@ pub fn matmul_backward(
     gb: Option<&mut [Elem]>,
 ) {
     super::matmul::matmul_backward_block(kb.be, g, a, b, m, k, n, ga, gb)
-}
-
-/// First-order gradients of one `[m, k] · [n, k]ᵀ` block, accumulated
-/// into `ga` (`[m, k]`) and `gb` (`[n, k]`), with `panel` (`k · n`
-/// elements) as scratch: the kernel behind
-/// [`crate::Tensor::matmul_nt`]'s backward.
-#[allow(clippy::too_many_arguments)] // raw kernel: slices + block geometry
-pub fn matmul_nt_backward(
-    kb: Kernels,
-    g: &[Elem],
-    a: &[Elem],
-    b: &[Elem],
-    (m, k, n): (usize, usize, usize),
-    ga: Option<&mut [Elem]>,
-    gb: Option<&mut [Elem]>,
-    panel: &mut [Elem],
-) {
-    super::matmul::matmul_nt_backward_block(kb.be, g, a, b, m, k, n, ga, gb, panel)
 }
 
 /// First-order softmax backward along an axis of `dim` elements with

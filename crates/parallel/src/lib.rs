@@ -53,10 +53,12 @@
 //!
 //! Thread-local state does not follow work onto spawned workers by
 //! itself. The predictor fan-outs of the `metadse` crate carry the
-//! caller's tensor modes (the backend, fused-kernel and buffer-pool guards
-//! of `metadse-nn`) onto every worker; a closure that computes with
-//! tensors through this crate directly must do the same, or pin
-//! [`ParallelConfig::serial`].
+//! caller's backend (the backend guard of `metadse-nn`) onto every
+//! worker, and second-order MAML's fan-out its fused-kernel mode too (a
+//! double backward through the fused kernels rounds differently); no
+//! fan-out carries the buffer-pool mode. A closure that computes with
+//! tensors through this crate directly must carry what it depends on,
+//! or pin [`ParallelConfig::serial`].
 //!
 //! When the `obs` feature of the workspace is enabled, every fan-out
 //! records its decision (`parallel/fanouts_serial`,
